@@ -13,6 +13,10 @@ the arena's length.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
+
+# weights of the fibre test in poly_div_binomial; any value is sound
+_FIBRE_BASE = 1009
 
 
 class NotDivisible(Exception):
@@ -228,6 +232,83 @@ def _binomial_poly(vars, e):
     return LaurentPolynomial(vars, {one: 1, tuple(e): -1})
 
 
+def poly_mul_binomial(a: LaurentPolynomial, e, m=1) -> LaurentPolynomial:
+    """a * (1 - Z^e)^m, as m shifted subtractions a - Z^e a."""
+    e = tuple(e)
+    if not any(e):
+        raise ValueError("(1 - 1) is not a valid factor")
+    if m <= 0:
+        return a
+    terms = a.terms
+    for _ in range(m):
+        out = dict(terms)
+        for x, c in terms.items():
+            key = tuple(i + j for i, j in zip(x, e))
+            s = out.get(key, 0) - c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+        terms = out
+    return LaurentPolynomial(a.vars, terms)
+
+
+def poly_div_binomial(a: LaurentPolynomial, e):
+    """Return q with a = q * (1 - Z^e), or None if a is not divisible.
+
+    The quotient ring Z[Z^n] / (1 - Z^e) is the group ring of Z^n / <e>:
+    it identifies the monomials along each line x + Z e.  So a is divisible
+    by (1 - Z^e) exactly when its coefficients sum to zero along every such
+    line, and then a_x = q_x - q_{x-e} gives the quotient as the running
+    sum q_x = sum_{k >= 0} a_{x - k e}, taken from the low end of each line.
+    The running sum carries across gaps in a line: 1 - Z^{3e} has
+    quotient 1 + Z^e + Z^{2e}.  Linear in the size of a and of q.
+
+    Most divisions attempted while normalizing fail, so a cheaper
+    necessary test runs first: x -> u.x with u.e = 0 sends each line to
+    one integer, so the coefficient sums over its fibres vanish too.
+    """
+    e = tuple(e)
+    i = next((k for k, x in enumerate(e) if x), None)
+    if i is None:
+        raise ValueError("(1 - 1) is not a valid factor")
+    terms = a.terms
+    # u = e_i w - (w.e) 1_i has u.e = 0 whatever the weights w
+    w = [_FIBRE_BASE ** j for j in range(len(e))]
+    u = [e[i] * wj for wj in w]
+    u[i] -= sum(map(mul, w, e))
+    fibres = {}
+    for x, c in terms.items():
+        k = sum(map(mul, u, x))
+        fibres[k] = fibres.get(k, 0) + c
+    if any(fibres.values()):
+        return None
+    # a line x + Z e is keyed by its point with coordinate i in [0, |e_i|)
+    ei = e[i]
+    lines = {}
+    for x, c in terms.items():
+        k = x[i] // ei
+        base = tuple(xj - k * ej for xj, ej in zip(x, e))
+        lines.setdefault(base, []).append((k, c))
+    quot = {}
+    for base, line in lines.items():
+        line.sort()
+        run = 0
+        prev = None
+        for k, c in line:
+            if run:
+                # the quotient keeps the running sum over the gap prev+1..k-1
+                for j in range(prev + 1, k):
+                    quot[tuple(b + j * ej for b, ej in zip(base, e))] = run
+            run += c
+            if run:
+                quot[tuple(b + k * ej for b, ej in zip(base, e))] = run
+            prev = k
+        if run:
+            return None
+    return LaurentPolynomial(a.vars, quot)
+
+
 class FactoredRationalFunction:
     """numerator / product over factors (1 - Z^e)^mult.
 
@@ -287,9 +368,7 @@ class FactoredRationalFunction:
     def den_poly(self):
         p = LaurentPolynomial.one(self.vars)
         for e, m in self.den.items():
-            f = _binomial_poly(self.vars, e)
-            for _ in range(m):
-                p = poly_mul(p, f)
+            p = poly_mul_binomial(p, e, m)
         return p
 
     def to_json_obj(self):
@@ -321,12 +400,11 @@ def rf_normalize(f: FactoredRationalFunction) -> FactoredRationalFunction:
     num = f.num
     den = {}
     for e, m in f.den_sorted():
-        factor = _binomial_poly(f.vars, e)
         while m > 0:
-            try:
-                num = poly_exact_div(num, factor)
-            except NotDivisible:
+            q = poly_div_binomial(num, e)
+            if q is None:
                 break
+            num = q
             m -= 1
         if m:
             den[e] = m
@@ -358,19 +436,10 @@ def rf_add(f: FactoredRationalFunction, g: FactoredRationalFunction,
         if lcm.get(e, 0) < m:
             lcm[e] = m
     nf = f.num
-    for e, m in lcm.items():
-        extra = m - f.den.get(e, 0)
-        if extra:
-            factor = _binomial_poly(f.vars, e)
-            for _ in range(extra):
-                nf = poly_mul(nf, factor)
     ng = g.num
     for e, m in lcm.items():
-        extra = m - g.den.get(e, 0)
-        if extra:
-            factor = _binomial_poly(g.vars, e)
-            for _ in range(extra):
-                ng = poly_mul(ng, factor)
+        nf = poly_mul_binomial(nf, e, m - f.den.get(e, 0))
+        ng = poly_mul_binomial(ng, e, m - g.den.get(e, 0))
     out = FactoredRationalFunction(nf + ng, lcm)
     return rf_normalize(out) if normalize else out
 
@@ -426,11 +495,7 @@ def rf_sum_common(terms, vars=None, normalize=True):
         num = LaurentPolynomial(vars, {e: c for e, c in num_terms.items()
                                        if c})
         for e, m in lcm.items():
-            extra = m - den.get(e, 0)
-            if extra:
-                factor = _binomial_poly(vars, e)
-                for _ in range(extra):
-                    num = poly_mul(num, factor)
+            num = poly_mul_binomial(num, e, m - den.get(e, 0))
         for e, c in num.terms.items():
             acc[e] = acc.get(e, 0) + c
     out = FactoredRationalFunction(
@@ -454,14 +519,10 @@ def rf_equal(f: FactoredRationalFunction, g: FactoredRationalFunction) -> bool:
                 del gden[e]
     left = f.num
     for e, m in gden.items():
-        factor = _binomial_poly(f.vars, e)
-        for _ in range(m):
-            left = poly_mul(left, factor)
+        left = poly_mul_binomial(left, e, m)
     right = g.num
     for e, m in fden.items():
-        factor = _binomial_poly(g.vars, e)
-        for _ in range(m):
-            right = poly_mul(right, factor)
+        right = poly_mul_binomial(right, e, m)
     return left == right
 
 
@@ -484,13 +545,12 @@ def rf_with_denominator(f: FactoredRationalFunction, den):
                 del den[e]
     num = f.num
     for e, m in den.items():
-        factor = _binomial_poly(f.vars, e)
-        for _ in range(m):
-            num = poly_mul(num, factor)
+        num = poly_mul_binomial(num, e, m)
     for e, m in extra.items():
-        factor = _binomial_poly(f.vars, e)
         for _ in range(m):
-            num = poly_exact_div(num, factor)
+            num = poly_div_binomial(num, e)
+            if num is None:
+                raise NotDivisible
     return num
 
 

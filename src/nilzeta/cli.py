@@ -13,7 +13,6 @@ from .arith import FactoredRationalFunction, rf_equal, rf_series_coeffs
 from .oracle import CapacityExceeded, compare_routes, count_subalgebras
 
 EXIT_OK = 0
-EXIT_CAPACITY = 2
 EXIT_ORACLE_CAPACITY = 3
 EXIT_USAGE = 64
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,11 +29,11 @@ from .arith import (
     LaurentPolynomial,
     LinearFactoredFunction,
     lff_sum,
+    poly_div_binomial,
     poly_mul,
     rf_equal,
     rf_invert_vars,
     rf_normalize,
-    rf_sum,
     rf_sum_common,
 )
 from .combinat import (
@@ -376,16 +377,6 @@ class ZetaResult:
     provenance: dict = field(default_factory=dict)
 
 
-def _assemble(pair_terms, vars, progress=None):
-    terms = []
-    pair_terms = list(pair_terms)
-    for k, t in enumerate(pair_terms):
-        terms.append(t)
-        if progress:
-            progress(k + 1, len(pair_terms))
-    return rf_sum(terms, vars=vars)
-
-
 def _walk_regions(d, pairs, progress=None, evict=False):
     """Yield (pair, face-grouped pieces) grouped by shuffle, optionally
     evicting each shuffle's cached cone data once its pairs are done."""
@@ -707,24 +698,13 @@ class PoleReport:
 
 def _t_series_at_one(num: LaurentPolynomial):
     """(order of vanishing at t=1, value of num/(1-t)^order at t=1)."""
-    coeffs = {}
-    for e, c in num.terms.items():
-        coeffs[e[0]] = coeffs.get(e[0], 0) + c
     order = 0
     while True:
-        val = sum(coeffs.values())
-        if val != 0:
+        val = sum(num.terms.values())
+        if val != 0 or num.is_zero():
             return order, val
-        if not coeffs:
-            return order, 0
-        # if num = (1 - t) * g then g_k = sum_{i <= k} num_i
-        new = {}
-        run = 0
-        for dg in range(min(coeffs), max(coeffs) + 1):
-            run += coeffs.get(dg, 0)
-            if run:
-                new[dg] = run
-        coeffs = new
+        # num vanishes at t=1, so (1 - t) divides it
+        num = poly_div_binomial(num, (1,))
         order += 1
 
 
@@ -781,6 +761,8 @@ def cache_path(cache_dir, d, kind):
 
 
 def store_result(cache_dir, result: ZetaResult):
+    """Write the result atomically: a killed or concurrent writer never
+    leaves a partial file under the cache name."""
     os.makedirs(cache_dir, exist_ok=True)
     obj = {
         "d": result.d,
@@ -788,23 +770,43 @@ def store_result(cache_dir, result: ZetaResult):
         "value": result.value.to_json_obj(),
         "provenance": result.provenance,
     }
-    with open(cache_path(cache_dir, result.d, result.kind), "w") as fh:
-        json.dump(obj, fh)
+    path = cache_path(cache_dir, result.d, result.kind)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(obj, fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_result(cache_dir, d, kind):
+    """The cached result, or None on a miss.
+
+    A file that cannot be decoded, or fails revalidation, is a miss; an
+    undecodable one is reported with a one-line reason on stderr.
+    """
     path = cache_path(cache_dir, d, kind)
     if not os.path.exists(path):
         return None
-    with open(path) as fh:
-        obj = json.load(fh)
-    if obj["kind"] != kind or obj["d"] != d:
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+        if obj["kind"] != kind or obj["d"] != d:
+            return None
+        if kind == "topological":
+            value = _lff_from_json(obj["value"])
+        else:
+            value = FactoredRationalFunction.from_json_obj(obj["value"])
+        provenance = obj.get("provenance", {})
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+        # ValueError covers json.JSONDecodeError and UnicodeDecodeError
+        reason = f"{type(exc).__name__}: {exc}".splitlines()[0]
+        print(f"cache: ignoring unreadable {path} ({reason})",
+              file=sys.stderr)
         return None
-    if kind == "topological":
-        value = _lff_from_json(obj["value"])
-    else:
-        value = FactoredRationalFunction.from_json_obj(obj["value"])
-    result = ZetaResult(d, kind, value, obj.get("provenance", {}))
+    result = ZetaResult(d, kind, value, provenance)
     # revalidate cached results before trusting them
     D = d + _dprime(d)
     if kind == "topological":

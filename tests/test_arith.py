@@ -12,11 +12,14 @@ from nilzeta.arith import (
     LinearFactoredFunction,
     NotDivisible,
     SingularSubstitution,
+    _binomial_poly,
     lff_add,
     lff_equal,
     lff_sum,
+    poly_div_binomial,
     poly_exact_div,
     poly_mul,
+    poly_mul_binomial,
     rf_add,
     rf_equal,
     rf_invert_vars,
@@ -25,6 +28,7 @@ from nilzeta.arith import (
     rf_series_coeffs,
     rf_substitute,
     rf_sum,
+    rf_with_denominator,
     upoly_div_linear,
     upoly_eval,
     upoly_mul,
@@ -251,3 +255,83 @@ def test_lff_sum_cancellation():
 def test_lff_degree():
     f = LinearFactoredFunction([3], {(2, 3): 1, (1, 1): 1, (1, 0): 1})
     assert f.degree() == -3
+
+
+# -- binomial factors (1 - Z^e) ---------------------------------------------
+
+def _arena(n):
+    return tuple(f"z{i}" for i in range(n))
+
+
+@st.composite
+def poly_and_binomial(draw):
+    """(f, e) with f a Laurent polynomial in 1-3 variables and e >= 0
+    nonzero in the same arena."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-3, 3)] * n)
+    f = LaurentPolynomial(_arena(n), draw(st.dictionaries(
+        exps, st.integers(-3, 3), max_size=5)))
+    e = draw(st.tuples(*[st.integers(0, 3)] * n).filter(any))
+    return f, e
+
+
+def _binomial_power(vars, e, k):
+    p = LaurentPolynomial.one(vars)
+    for _ in range(k):
+        p = poly_mul(p, _binomial_poly(vars, e))
+    return p
+
+
+@given(poly_and_binomial(), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_div_binomial_matches_exact_div(fe, k):
+    f, e = fe
+    p = poly_mul(f, _binomial_power(f.vars, e, k))
+    q = poly_div_binomial(p, e)
+    assert q == poly_exact_div(p, _binomial_poly(p.vars, e))
+    assert poly_mul(q, _binomial_poly(p.vars, e)) == p
+
+
+@given(poly_and_binomial())
+@settings(max_examples=100, deadline=None)
+def test_div_binomial_agrees_on_nondivisible(fe):
+    f, e = fe
+    try:
+        expected = poly_exact_div(f, _binomial_poly(f.vars, e))
+    except NotDivisible:
+        expected = None
+    assert poly_div_binomial(f, e) == expected
+
+
+def test_div_binomial_carries_across_gaps():
+    vars = _arena(2)
+    e = (1, 2)
+    # 1 - Z^{3e} = (1 - Z^e)(1 + Z^e + Z^{2e})
+    p = LaurentPolynomial(vars, {(0, 0): 1, (3, 6): -1})
+    assert poly_div_binomial(p, e) == LaurentPolynomial(
+        vars, {(0, 0): 1, (1, 2): 1, (2, 4): 1})
+    # a line with missing interior points, beside a second line
+    p = LaurentPolynomial(vars, {(-1, 0): 2, (1, 4): -1, (3, 8): -1,
+                                 (0, 1): 1, (1, 3): -1})
+    q = LaurentPolynomial(vars, {(-1, 0): 2, (0, 2): 2, (1, 4): 1,
+                                 (2, 6): 1, (0, 1): 1})
+    assert poly_div_binomial(p, e) == q
+    assert poly_exact_div(p, _binomial_poly(vars, e)) == q
+    # each line sums to zero but one, so there is no quotient
+    p = LaurentPolynomial(vars, {(0, 0): 1, (1, 2): -1, (0, 1): 1})
+    assert poly_div_binomial(p, e) is None
+
+
+@given(poly_and_binomial(), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_mul_binomial_matches_poly_mul(fe, m):
+    f, e = fe
+    assert poly_mul_binomial(f, e, m) == poly_mul(
+        f, _binomial_power(f.vars, e, m))
+
+
+def test_with_denominator_not_divisible():
+    f = FactoredRationalFunction(LaurentPolynomial.one(QT), {(0, 1): 1})
+    assert rf_with_denominator(f, {(0, 1): 2}) == lp({(0, 0): 1, (0, 1): -1})
+    with pytest.raises(NotDivisible):
+        rf_with_denominator(f, {(1, 1): 1})

@@ -109,3 +109,20 @@ def test_report_command(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["d"] == 2
+
+
+def test_truncated_cache_file_is_a_miss(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    args = ("compute", "--d", "2", "--format", "text", "--cache-dir",
+            str(cache))
+    code, clean, _ = run(capsys, *args)
+    assert code == 0
+    path = cache / "v1_d2_padic.json"
+    path.write_bytes(path.read_bytes()[:40])
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (0, clean)
+    reasons = [line for line in err.splitlines() if line.startswith("cache:")]
+    assert len(reasons) == 1 and "v1_d2_padic.json" in reasons[0]
+    assert json.loads(path.read_text())["kind"] == "padic"
+    assert sorted(os.listdir(cache)) == ["v1_d2_padic.json"]
+    assert run(capsys, *args)[1:] == (clean, "")
