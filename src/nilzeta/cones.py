@@ -14,8 +14,9 @@ All arithmetic is exact, over int and Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from itertools import product
 from math import gcd
+from operator import mul
 
 from .arith import FactoredRationalFunction, LaurentPolynomial, rf_sum
 
@@ -25,19 +26,14 @@ from .arith import FactoredRationalFunction, LaurentPolynomial, rf_sum
 
 
 def matrix_rank(rows):
-    """Rank over Q of a list of integer/Fraction row vectors.
+    """Rank over Q of a list of integer row vectors.
 
-    Integer input is reduced fraction-free (cross-multiplication), which is
-    much faster than Fraction arithmetic.
+    The elimination is fraction-free (cross-multiplication), which is much
+    faster than Fraction arithmetic.
     """
     rows = [list(r) for r in rows if any(r)]
     if not rows:
         return 0
-    if any(isinstance(x, Fraction) for r in rows for x in r):
-        rows = [[Fraction(x) for x in r] for r in rows]
-        exact = False
-    else:
-        exact = True
     ncols = len(rows[0])
     rank = 0
     col = 0
@@ -52,13 +48,9 @@ def matrix_rank(rows):
         for i in range(rank + 1, len(rows)):
             ric = rows[i][col]
             if ric:
-                if exact:
-                    g = gcd(pc, ric)
-                    fp, fi = pc // g, ric // g
-                    rows[i] = [fp * a - fi * b for a, b in zip(rows[i], pr)]
-                else:
-                    f = ric / pc
-                    rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
+                g = gcd(pc, ric)
+                fp, fi = pc // g, ric // g
+                rows[i] = [fp * a - fi * b for a, b in zip(rows[i], pr)]
         rank += 1
         col += 1
     return rank
@@ -73,21 +65,52 @@ def _primitive(vec):
     return tuple(x // g for x in vec)
 
 
+def _mask(indices):
+    """Bitmask of a set of coordinates."""
+    out = 0
+    for i in indices:
+        out |= 1 << i
+    return out
+
+
+def _bits(mask):
+    """Coordinates in a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _support_mask(vec):
+    """Bitmask of the nonzero coordinates of a vector."""
+    return _mask(i for i, x in enumerate(vec) if x)
+
+
 def smith_normal_form(M):
     """Return (diag, U, V) with U M V in Smith normal form.
 
     M is a list of rows of an m x k integer matrix; U is m x m, V is k x k,
     both unimodular; diag lists the nonzero invariant factors.
     """
+    return _smith(M, True)
+
+
+def _smith(M, with_left):
+    """smith_normal_form, with U None unless with_left: the box-point
+    computations read only diag and V, and U costs half the time."""
     m = len(M)
     k = len(M[0]) if m else 0
     A = [list(r) for r in M]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    U = [[int(i == j) for j in range(m)] for i in range(m)] \
+        if with_left else None
     V = [[int(i == j) for j in range(k)] for i in range(k)]
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
+        if U:
+            U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for r in A:
@@ -97,7 +120,8 @@ def smith_normal_form(M):
 
     def add_row(i, j, c):  # row i += c * row j
         A[i] = [a + c * b for a, b in zip(A[i], A[j])]
-        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+        if U:
+            U[i] = [a + c * b for a, b in zip(U[i], U[j])]
 
     def add_col(i, j, c):  # col i += c * col j
         for r in A:
@@ -108,12 +132,18 @@ def smith_normal_form(M):
     def diagonalize():
         t = 0
         while t < min(m, k):
-            pos = None
+            # the first entry of least absolute value, in row-major order
+            pos, best = None, 0
             for i in range(t, m):
+                row = A[i]
                 for j in range(t, k):
-                    if A[i][j]:
-                        if pos is None or abs(A[i][j]) < abs(A[pos[0]][pos[1]]):
-                            pos = (i, j)
+                    x = abs(row[j])
+                    if x and (not best or x < best):
+                        pos, best = (i, j), x
+                        if x == 1:
+                            break
+                if best == 1:
+                    break
             if pos is None:
                 break
             swap_rows(t, pos[0])
@@ -136,7 +166,8 @@ def smith_normal_form(M):
                     break
             if A[t][t] < 0:
                 A[t] = [-x for x in A[t]]
-                U[t] = [-x for x in U[t]]
+                if U:
+                    U[t] = [-x for x in U[t]]
             t += 1
         return t
 
@@ -205,27 +236,23 @@ def extreme_rays(equations, num_vars):
     rays = [tuple(int(i == j) for j in range(num_vars)) for i in range(num_vars)]
     for a in equations:
         vals = [sum(x * y for x, y in zip(a, r)) for r in rays]
-        zero = [r for r, v in zip(rays, vals) if v == 0]
-        pos = [(r, v) for r, v in zip(rays, vals) if v > 0]
-        neg = [(r, v) for r, v in zip(rays, vals) if v < 0]
-        supports = [frozenset(i for i, x in enumerate(r) if x) for r in rays]
-        new = list(zero)
-        for rp, vp in pos:
-            sp = frozenset(i for i, x in enumerate(rp) if x)
-            for rn, vn in neg:
-                sn = frozenset(i for i, x in enumerate(rn) if x)
-                union = sp | sn
-                adjacent = True
-                for r, s in zip(rays, supports):
-                    if r is rp or r is rn:
-                        continue
-                    if s <= union:
-                        adjacent = False
-                        break
-                if adjacent:
-                    # vp > 0 > vn, so vp * rn - vn * rp is nonnegative
-                    comb = tuple(vp * y + (-vn) * x for x, y in zip(rp, rn))
-                    new.append(_primitive(comb))
+        supports = [_support_mask(r) for r in rays]
+        new = [r for r, v in zip(rays, vals) if v == 0]
+        for p, vp in enumerate(vals):
+            if vp <= 0:
+                continue
+            for n, vn in enumerate(vals):
+                if vn >= 0:
+                    continue
+                # adjacent iff no third ray has its support inside the union
+                union = supports[p] | supports[n]
+                if any(s | union == union for i, s in enumerate(supports)
+                       if i != p and i != n):
+                    continue
+                # vp > 0 > vn, so vp * rn - vn * rp is nonnegative
+                comb = tuple(vp * y + (-vn) * x
+                             for x, y in zip(rays[p], rays[n]))
+                new.append(_primitive(comb))
         rays = []
         seen = set()
         for r in new:
@@ -248,18 +275,25 @@ def minimal_supports(rays):
 # Box points of a simplicial cone.
 
 
+def _ray_smith(rays):
+    """diag and V of the Smith form of the matrix whose columns are the rays.
+
+    Coordinates where every ray vanishes give zero rows, which change
+    neither; they are left out.
+    """
+    M = [list(row) for row in zip(*rays) if any(row)]
+    diag, _, V = _smith(M, False)
+    if len(diag) != len(rays):
+        raise ValueError("rays are not linearly independent")
+    return diag, V
+
+
 def box_count(rays):
     """Number of lattice points Sum a_i r_i with a_i in (0, 1]."""
-    if not rays:
-        return 1
-    cols = list(rays)
-    M = [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))]
-    diag, _, _ = smith_normal_form(M)
-    if len(diag) != len(cols):
-        raise ValueError("rays are not linearly independent")
     out = 1
-    for s in diag:
-        out *= s
+    if rays:
+        for s in _ray_smith(rays)[0]:
+            out *= s
     return out
 
 
@@ -273,35 +307,25 @@ def box_points(rays):
     if not rays:
         return [()]
     k = len(rays)
-    m = len(rays[0])
-    M = [[rays[j][i] for j in range(k)] for i in range(m)]
-    diag, U, V = smith_normal_form(M)
-    if len(diag) != k:
-        raise ValueError("rays are not linearly independent")
-    points = []
+    diag, V = _ray_smith(rays)
     lcm = 1
     for s in diag:
         lcm = lcm // gcd(lcm, s) * s
-    mult = [lcm // s for s in diag]
-    # a_j (numerator over lcm) ranges over V . (c / diag); fold each into
-    # (0, 1]: numerators shifted to {1, ..., lcm}, integers mapping to 1
-    scaled_V = [[V[i][j] * mult[j] for j in range(k)] for i in range(k)]
-
-    def rec(idx, c):
-        if idx == k:
-            a = [(sum(scaled_V[i][j] * c[j] for j in range(k)) - 1) % lcm + 1
-                 for i in range(k)]
-            x = []
-            for i in range(m):
-                v = sum(rays[j][i] * a[j] for j in range(k))
-                assert v % lcm == 0
-                x.append(v // lcm)
-            points.append(tuple(x))
-            return
-        for ci in range(diag[idx]):
-            rec(idx + 1, c + [ci])
-
-    rec(0, [])
+    # a_j (numerator over lcm) ranges over V . (c / diag) with 0 <= c_i <
+    # diag[i]; only the invariant factors above 1 let c_i move.  Fold each
+    # a_j into (0, 1]: numerators shifted to {1, ..., lcm}, integers to 1
+    free = [i for i, s in enumerate(diag) if s > 1]
+    scaled_V = [[V[j][i] * (lcm // diag[i]) for i in free] for j in range(k)]
+    coords = list(zip(*rays))
+    points = []
+    for c in product(*(range(diag[i]) for i in free)):
+        a = [(sum(map(mul, row, c)) - 1) % lcm + 1 for row in scaled_V]
+        x = []
+        for col in coords:
+            v = sum(map(mul, col, a))
+            assert v % lcm == 0
+            x.append(v // lcm)
+        points.append(tuple(x))
     assert len(set(points)) == len(points)
     return sorted(points)
 
@@ -344,17 +368,20 @@ class DiophantineMonoid:
 
     ray_order_key, if given, fixes the total order of the extreme rays used
     by the pulling triangulation (smaller key pulled first).
+
+    Faces are encoded by their supports.  The public methods take and return
+    supports as frozensets; inside, a support is an int bitmask.
     """
 
     def __init__(self, num_vars, equations, ray_order_key=None):
         self.num_vars = num_vars
         self.equations = [tuple(e) for e in equations]
         self._rays = None
-        self._faces = None
+        self._ray_masks = None
+        self._within = {}
         self._cells = {}
         self._tri = {}
         self._fdim = {}
-        self._supports = {}
         self._ray_order_key = ray_order_key
 
     def rays(self):
@@ -363,6 +390,7 @@ class DiophantineMonoid:
             if self._ray_order_key is not None:
                 rays = sorted(rays, key=self._ray_order_key)
             self._rays = rays
+            self._ray_masks = {r: _support_mask(r) for r in rays}
         return self._rays
 
     def contains(self, x):
@@ -371,38 +399,23 @@ class DiophantineMonoid:
                         for e in self.equations))
 
     def support(self, ray):
-        s = self._supports.get(ray)
-        if s is None:
-            s = frozenset(i for i, x in enumerate(ray) if x)
-            self._supports[ray] = s
-        return s
+        return frozenset(i for i, x in enumerate(ray) if x)
 
     def face_lattice(self):
-        """All faces, encoded by their support sets (unions of ray supports)."""
-        if self._faces is None:
-            supports = [self.support(r) for r in self.rays()]
-            faces = {frozenset()}
-            frontier = {frozenset()}
-            while frontier:
-                nxt = set()
-                for B in frontier:
-                    for s in supports:
-                        B2 = B | s
-                        if B2 not in faces:
-                            faces.add(B2)
-                            nxt.add(B2)
-                frontier = nxt
-            self._faces = sorted(faces, key=lambda s: (len(s), sorted(s)))
-        return self._faces
+        """All faces, encoded by their support sets (unions of ray supports),
+        ordered by size and then by sorted support.
+
+        This is the full-lattice view; region decompositions enumerate only
+        the faces inside their region (_faces_within).
+        """
+        return [frozenset(_bits(f))
+                for f in self._faces_within((1 << self.num_vars) - 1)]
 
     def face_rays(self, B):
-        return [r for r in self.rays() if self.support(r) <= B]
+        return self._face_rays(_mask(B))
 
     def face_dim(self, B):
-        B = frozenset(B)
-        if B not in self._fdim:
-            self._fdim[B] = matrix_rank(self.face_rays(B))
-        return self._fdim[B]
+        return self._face_dim(_mask(B))
 
     def triangulation(self, B):
         """Pulling triangulation of the face with support B.
@@ -412,32 +425,7 @@ class DiophantineMonoid:
         simplices are that ray joined with the triangulations of the facets
         not containing it.
         """
-        B = frozenset(B)
-        if B in self._tri:
-            return self._tri[B]
-        rays = self.face_rays(B)
-        if not rays:
-            out = []
-        else:
-            d = matrix_rank(rays)
-            if len(rays) == d:
-                out = [tuple(rays)]
-            else:
-                v = rays[0]
-                sv = self.support(v)
-                facets = [F for F in self.face_lattice()
-                          if F < B and self.face_dim(F) == d - 1]
-                # keep only maximal ones (true geometric facets)
-                facets = [F for F in facets
-                          if not any(F < G for G in facets if G != F)]
-                out = []
-                for F in facets:
-                    if sv <= F:
-                        continue
-                    for simplex in self.triangulation(F):
-                        out.append((v,) + simplex)
-        self._tri[B] = out
-        return out
+        return self._triangulation(_mask(B))
 
     def cells(self, B):
         """Open simplicial pieces whose disjoint union is relint of face B.
@@ -446,28 +434,86 @@ class DiophantineMonoid:
         contained in the boundary, i.e. the subsets of maximal simplices
         whose ray supports cover all of B.
         """
-        B = frozenset(B)
-        if B in self._cells:
-            return self._cells[B]
-        if not B:
+        return self._cells_of(_mask(B))
+
+    # -- the same on support bitmasks ---------------------------------------
+
+    def _faces_within(self, c):
+        """Supports of the faces inside the coordinate set c, in
+        face_lattice order.
+
+        Every face is a union of ray supports.  Since x >= 0, the set
+        {x_i = 0 for i outside c} is itself a face, so the faces inside c are
+        exactly the unions of supports of the rays inside c.
+        """
+        faces = self._within.get(c)
+        if faces is None:
+            closure = {0}
+            for r in self.rays():
+                s = self._ray_masks[r]
+                if s & c == s:
+                    closure |= {f | s for f in closure}
+            # face_lattice order: by size, then by the sorted support
+            faces = self._within[c] = sorted(
+                closure, key=lambda f: (f.bit_count(), _bits(f)))
+        return faces
+
+    def _face_rays(self, b):
+        rays = self.rays()
+        masks = self._ray_masks
+        return [r for r in rays if masks[r] & b == masks[r]]
+
+    def _face_dim(self, b):
+        dim = self._fdim.get(b)
+        if dim is None:
+            dim = self._fdim[b] = matrix_rank(self._face_rays(b))
+        return dim
+
+    def _triangulation(self, b):
+        out = self._tri.get(b)
+        if out is not None:
+            return out
+        rays = self._face_rays(b)
+        d = self._face_dim(b)
+        if len(rays) == d:
+            out = [tuple(rays)] if rays else []
+        else:
+            v = rays[0]
+            sv = self._ray_masks[v]
+            # faces of equal dimension never nest, so the faces of
+            # dimension d - 1 inside b are exactly its facets
+            out = [(v,) + simplex
+                   for f in self._faces_within(b)
+                   if f & sv != sv and self._face_dim(f) == d - 1
+                   for simplex in self._triangulation(f)]
+        self._tri[b] = out
+        return out
+
+    def _cells_of(self, b):
+        out = self._cells.get(b)
+        if out is not None:
+            return out
+        if not b:
             out = [SimplicialPiece(())]
         else:
             seen = set()
             out = []
-            for simplex in self.triangulation(B):
+            for simplex in self._triangulation(b):
+                masks = [self._ray_masks[r] for r in simplex]
                 n = len(simplex)
-                for mask in range(1, 1 << n):
-                    subset = tuple(simplex[i] for i in range(n)
-                                   if mask >> i & 1)
-                    if subset in seen:
+                covers = [0] * (1 << n)
+                for sel in range(1, 1 << n):
+                    low = sel & -sel
+                    cover = covers[sel] = \
+                        covers[sel ^ low] | masks[low.bit_length() - 1]
+                    if cover != b:
                         continue
-                    seen.add(subset)
-                    cover = frozenset()
-                    for r in subset:
-                        cover |= self.support(r)
-                    if cover == B:
+                    subset = tuple(simplex[i] for i in range(n)
+                                   if sel >> i & 1)
+                    if subset not in seen:
+                        seen.add(subset)
                         out.append(SimplicialPiece(subset))
-        self._cells[B] = out
+        self._cells[b] = out
         return out
 
 
@@ -490,19 +536,14 @@ def decompose_region_by_face(monoid: DiophantineMonoid, A, C):
 
     Summing a face's cells first is much cheaper than summing all pieces
     at once, because cells of one face draw their denominator factors from
-    that face's small ray pool.
+    that face's small ray pool.  Only the faces inside C are enumerated.
     """
-    A = frozenset(A)
-    C = frozenset(C)
-    out = []
-    for B in monoid.face_lattice():
-        if A <= B <= C:
-            out.append((B, monoid.cells(B)))
-    return out
+    a = _mask(A)
+    return [(frozenset(_bits(b)), monoid._cells_of(b))
+            for b in monoid._faces_within(_mask(C)) if b & a == a]
 
 
 def genfun_piece(piece: SimplicialPiece, vars):
-    num = LaurentPolynomial(vars, {})
     terms = {}
     for b in piece.box():
         terms[b] = terms.get(b, 0) + 1

@@ -48,8 +48,7 @@ from .combinat import (
     lm_sigma,
     trivial_dyck_word,
 )
-from .cones import (DiophantineMonoid, decompose_region,
-                    decompose_region_by_face, feasible)
+from .cones import DiophantineMonoid, decompose_region_by_face, feasible
 
 QT = ("q", "t")
 T = ("t",)
@@ -784,8 +783,8 @@ def store_result(cache_dir, result: ZetaResult):
 def load_result(cache_dir, d, kind):
     """The cached result, or None on a miss.
 
-    A file that cannot be decoded, or fails revalidation, is a miss; an
-    undecodable one is reported with a one-line reason on stderr.
+    A file that cannot be decoded, or fails revalidation, is a miss,
+    reported with a one-line reason on stderr.
     """
     path = cache_path(cache_dir, d, kind)
     if not os.path.exists(path):
@@ -793,8 +792,7 @@ def load_result(cache_dir, d, kind):
     try:
         with open(path) as fh:
             obj = json.load(fh)
-        if obj["kind"] != kind or obj["d"] != d:
-            return None
+        stored = (obj["d"], obj["kind"])
         if kind == "topological":
             value = _lff_from_json(obj["value"])
         else:
@@ -802,20 +800,29 @@ def load_result(cache_dir, d, kind):
         provenance = obj.get("provenance", {})
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         # ValueError covers json.JSONDecodeError and UnicodeDecodeError
-        reason = f"{type(exc).__name__}: {exc}".splitlines()[0]
-        print(f"cache: ignoring unreadable {path} ({reason})",
-              file=sys.stderr)
-        return None
-    result = ZetaResult(d, kind, value, provenance)
-    # revalidate cached results before trusting them
+        reason = f"unreadable ({type(exc).__name__}: {exc})"
+    else:
+        reason = _revalidation_failure(d, kind, stored, value)
+        if reason is None:
+            return ZetaResult(d, kind, value, provenance)
+    print(f"cache: ignoring {path}: {reason}".splitlines()[0],
+          file=sys.stderr)
+    return None
+
+
+def _revalidation_failure(d, kind, stored, value):
+    """Why a decoded cache entry cannot be trusted, or None if it can."""
+    if stored != (d, kind):
+        return f"holds d={stored[0]} kind {stored[1]}"
     D = d + _dprime(d)
     if kind == "topological":
         if value.degree() != -D:
-            return None
-    elif kind in ("padic", "no_overlap"):
+            return f"degree {value.degree()}, expected {-D}"
+    elif kind in ("padic", "no_overlap") or kind.startswith("overlap:"):
+        # every overlap summand satisfies the functional equation too
         if not check_functional_equation(value, D):
-            return None
-    return result
+            return "fails the functional equation"
+    return None
 
 
 def _lff_from_json(obj):

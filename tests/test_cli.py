@@ -126,3 +126,24 @@ def test_truncated_cache_file_is_a_miss(tmp_path, capsys):
     assert json.loads(path.read_text())["kind"] == "padic"
     assert sorted(os.listdir(cache)) == ["v1_d2_padic.json"]
     assert run(capsys, *args)[1:] == (clean, "")
+
+
+@pytest.mark.parametrize("kind", [["padic"], ["overlap", "--word", "01"]],
+                         ids=["padic", "overlap"])
+def test_cache_file_failing_revalidation_is_a_miss(tmp_path, capsys, kind):
+    cache = tmp_path / "cache"
+    args = ("compute", "--d", "2", "--kind", *kind, "--format", "text",
+            "--cache-dir", str(cache))
+    code, clean, _ = run(capsys, *args)
+    assert code == 0
+    [name] = os.listdir(cache)
+    path = cache / name
+    obj = json.loads(path.read_text())
+    coeff = obj["value"]["num"][0]
+    coeff[0] = str(int(coeff[0]) + 1)
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (0, clean)
+    reasons = [line for line in err.splitlines() if line.startswith("cache:")]
+    assert len(reasons) == 1 and name in reasons[0]
+    assert run(capsys, *args)[1:] == (clean, "")

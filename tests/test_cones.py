@@ -12,6 +12,7 @@ from nilzeta.cones import (
     box_count,
     box_points,
     decompose_region,
+    decompose_region_by_face,
     extreme_rays,
     feasible,
     genfun_region,
@@ -19,6 +20,7 @@ from nilzeta.cones import (
     minimal_supports,
     smith_normal_form,
 )
+from nilzeta.zeta import enumerate_Wd, region_of_wpair
 
 
 def test_matrix_rank():
@@ -292,3 +294,106 @@ def test_region_dump_golden():
         "1; (0, 1, 0, 2); 1",
         "2; (0, 1, 0, 2),(0, 1, 2, 0); 2",
     ])
+
+
+# ---------------------------------------------------------------------------
+# Restricted face enumeration against the full lattice.
+
+
+def _support(ray):
+    return frozenset(i for i, x in enumerate(ray) if x)
+
+
+def reference_lattice(monoid):
+    """All faces: the breadth-first union closure of the ray supports, as
+    frozensets, sorted by size and then by sorted support."""
+    supports = [_support(r) for r in monoid.rays()]
+    faces = {frozenset()}
+    frontier = {frozenset()}
+    while frontier:
+        nxt = set()
+        for B in frontier:
+            for s in supports:
+                if B | s not in faces:
+                    faces.add(B | s)
+                    nxt.add(B | s)
+        frontier = nxt
+    return sorted(faces, key=lambda s: (len(s), sorted(s)))
+
+
+def maximal_proper_faces(lattice, B):
+    proper = [F for F in lattice if F < B]
+    return [F for F in proper if not any(F < G for G in proper)]
+
+
+def reference_triangulation(monoid, lattice, B, memo):
+    """Pulling triangulation of face B over its maximal proper faces."""
+    if B not in memo:
+        rays = [r for r in monoid.rays() if _support(r) <= B]
+        if len(rays) == matrix_rank(rays):
+            memo[B] = [tuple(rays)] if rays else []
+        else:
+            v = rays[0]
+            memo[B] = [(v,) + simplex
+                       for F in maximal_proper_faces(lattice, B)
+                       if not _support(v) <= F
+                       for simplex in reference_triangulation(
+                           monoid, lattice, F, memo)]
+    return memo[B]
+
+
+def reference_cells(monoid, lattice, B, memo):
+    """Ray tuples of the triangulation's faces whose supports cover B."""
+    if not B:
+        return [()]
+    out = []
+    for simplex in reference_triangulation(monoid, lattice, B, memo):
+        for sel in range(1, 1 << len(simplex)):
+            subset = tuple(r for i, r in enumerate(simplex) if sel >> i & 1)
+            if (subset not in out
+                    and frozenset().union(*map(_support, subset)) == B):
+                out.append(subset)
+    return out
+
+
+def check_faces_and_regions(monoid, regions):
+    lattice = reference_lattice(monoid)
+    assert monoid.face_lattice() == lattice
+    memo = {}
+    for B in lattice:
+        dim = monoid.face_dim(B)
+        by_dim = [F for F in lattice if F < B and monoid.face_dim(F) == dim - 1]
+        assert by_dim == maximal_proper_faces(lattice, B), B
+        assert monoid.triangulation(B) == reference_triangulation(
+            monoid, lattice, B, memo), B
+    for A, C in regions:
+        A, C = frozenset(A), frozenset(C)
+        got = [(B, [p.rays for p in cells])
+               for B, cells in decompose_region_by_face(monoid, A, C)]
+        want = [(B, reference_cells(monoid, lattice, B, memo))
+                for B in lattice if A <= B <= C]
+        assert got == want, (A, C)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_restricted_faces_random_systems(data):
+    m = data.draw(st.integers(min_value=1, max_value=5))
+    k = data.draw(st.integers(min_value=1, max_value=2))
+    rows = [tuple(data.draw(st.integers(min_value=-2, max_value=2))
+                  for _ in range(m))
+            for _ in range(k)]
+    subsets = [frozenset(i for i in range(m) if sel >> i & 1)
+               for sel in range(1 << m)]
+    check_faces_and_regions(DiophantineMonoid(m, rows),
+                            [(A, C) for C in subsets for A in subsets
+                             if A <= C])
+
+
+def test_restricted_faces_d3_regions():
+    regions = {}
+    for wp in enumerate_Wd(3):
+        monoid, A, C = region_of_wpair(wp)
+        regions.setdefault(monoid, []).append((A, C))
+    for monoid, pairs in regions.items():
+        check_faces_and_regions(monoid, pairs)
