@@ -119,31 +119,29 @@ def _check(name, ok, detail=""):
     return bool(ok)
 
 
-def _verify_golden(d):
+def _verify_golden(d, sweep):
     from .golden import golden_padic, golden_reduced, golden_topological
     from .arith import lff_equal
     ok = True
-    z = zmod.zeta_padic(d)
     g = golden_padic(d)
     if g is not None:
-        ok &= _check(f"padic d={d} matches closed form", rf_equal(z.value, g))
-    r = zmod.zeta_reduced(d)
+        ok &= _check(f"padic d={d} matches closed form",
+                     rf_equal(sweep["padic"].value, g))
     gr = golden_reduced(d)
     if gr is not None:
         ok &= _check(f"reduced d={d} matches closed form",
-                     rf_equal(r.value, gr))
-    t = zmod.zeta_topological(d)
+                     rf_equal(sweep["reduced"].value, gr))
     gt = golden_topological(d)
     if gt is not None:
         ok &= _check(f"topological d={d} matches closed form",
-                     lff_equal(t.value, gt))
+                     lff_equal(sweep["topological"].value, gt))
     return ok
 
 
-def _verify_funeq(d):
+def _verify_funeq(d, sweep):
     D = d + d * (d - 1) // 2
     ok = _check(f"functional equation, padic d={d}",
-                zmod.check_functional_equation(zmod.zeta_padic(d).value, D))
+                zmod.check_functional_equation(sweep["padic"].value, D))
     ok &= _check(f"functional equation, no-overlap d={d}",
                  zmod.check_functional_equation(
                      zmod.zeta_no_overlap(d).value, D))
@@ -156,8 +154,13 @@ def _verify_funeq(d):
     return ok
 
 
-def _verify_pole(d):
-    rep = zmod.pole_report(d, zmod.zeta_reduced(d), zmod.zeta_topological(d))
+def _pole_report(d, sweep):
+    return zmod.pole_report(d, sweep["reduced"], sweep["topological"],
+                            c_d=sweep["c_d"])
+
+
+def _verify_pole(d, sweep):
+    rep = _pole_report(d, sweep)
     return _check(f"pole report d={d} self-consistent", rep.consistent(),
                   str(rep))
 
@@ -168,17 +171,29 @@ def _verify_oracle(d, p, order):
     return _check(f"oracle routes d={d} p={p} order={order}", rep.ok)
 
 
+# what each suite reads off the shared sweep over the pairs
+SUITE_KINDS = {
+    "golden": ("padic", "reduced", "topological"),
+    "funeq": ("padic",),
+    "pole": ("reduced", "topological", "c_d"),
+    "oracle": (),
+}
+
+
 def cmd_verify(args):
     d = args.d
     ok = True
     suite = args.suite
+    suites = SUITE_KINDS if suite == "all" else (suite,)
+    kinds = {k for s in suites for k in SUITE_KINDS[s]}
+    sweep = zmod.zeta_all(d, kinds) if kinds else {}
     try:
         if suite in ("golden", "all"):
-            ok &= _verify_golden(d)
+            ok &= _verify_golden(d, sweep)
         if suite in ("funeq", "all"):
-            ok &= _verify_funeq(d)
+            ok &= _verify_funeq(d, sweep)
         if suite in ("pole", "all"):
-            ok &= _verify_pole(d)
+            ok &= _verify_pole(d, sweep)
         if suite in ("oracle", "all"):
             ok &= _verify_oracle(d, args.p, args.order)
     except CapacityExceeded as exc:
@@ -197,9 +212,8 @@ def cmd_oracle(args):
 
 
 def cmd_report(args):
-    rep = zmod.pole_report(
-        args.d, zmod.zeta_reduced(args.d, progress=heartbeat()),
-        zmod.zeta_topological(args.d, progress=heartbeat()))
+    rep = _pole_report(args.d, zmod.zeta_all(
+        args.d, SUITE_KINDS["pole"], progress=heartbeat()))
     obj = {
         "d": rep.d,
         "reduced_order_at_1": rep.reduced_order_at_1,
@@ -233,7 +247,6 @@ def build_parser():
                         default="text")
         sp.add_argument("--output")
         sp.add_argument("--cache-dir")
-        sp.add_argument("--jobs", type=int, default=1)
 
     sc = sub.add_parser("compute", help="compute one zeta function")
     common(sc)

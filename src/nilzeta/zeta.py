@@ -22,7 +22,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
+from operator import mul
 
 from .arith import (
     FactoredRationalFunction,
@@ -277,14 +278,16 @@ def _grouped_by_sigma(pairs):
         yield key, groups[key]
 
 
-def _evict_sigma(key):
-    _sigma_cache.pop(key, None)
-
-
 def region_of_wpair(wp: WPair):
     """(monoid, A, C) whose lattice points project onto the pair's cone set."""
     A, C = wp.region_sets()
     return wp.context.monoid, A, C
+
+
+def _gaussian_product(wp: WPair) -> LaurentPolynomial:
+    """Product of the Gaussian binomials of the pair, in u = q^-1."""
+    ctx = wp.context
+    return poly_mul(gaussian_multinomial(ctx.d, wp.I), ctx.binom_chain())
 
 
 def gmc(wp: WPair) -> LaurentPolynomial:
@@ -292,16 +295,12 @@ def gmc(wp: WPair) -> LaurentPolynomial:
 
     Returned in the ("q",) arena with nonpositive exponents.
     """
-    ctx = wp.context
-    u_poly = poly_mul(gaussian_multinomial(ctx.d, wp.I), ctx.binom_chain())
-    return LaurentPolynomial(("q",), {(-e[0],): c
-                                      for e, c in u_poly.terms.items()})
+    return _gaussian_product(wp).substitute_monomials([(-1,)], ("q",))
 
 
 def mc(wp: WPair) -> int:
-    ctx = wp.context
-    u_poly = poly_mul(gaussian_multinomial(ctx.d, wp.I), ctx.binom_chain())
-    return sum(u_poly.terms.values())
+    """The Gaussian product of the pair at q = 1."""
+    return sum(_gaussian_product(wp).terms.values())
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +312,7 @@ def numerical_map(d, sigma=None, kind="sigma"):
 
     kind "sigma" requires sigma and covers that shuffle's m coordinates;
     "no_overlap" covers the d + d' + 1 coordinates of the no-overlap
-    monoid; "reduced" likewise but with all q-exponents zero.
+    monoid.
     """
     dp = _dprime(d)
     if kind == "sigma":
@@ -323,45 +322,52 @@ def numerical_map(d, sigma=None, kind="sigma"):
         out += [(d * j + j * (dp - j), j) for j in range(1, dp + 1)]
         out.append((0, 0))
         return out
-    if kind == "reduced":
-        out = [(0, i) for i in range(1, d + 1)]
-        out += [(0, j) for j in range(1, dp + 1)]
-        out.append((0, 0))
-        return out
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def _piece_qt(piece, exps):
-    """Substitute a piece's generating function into the (q, t) arena."""
+def _piece(piece, cols, vars):
+    """Substitute a piece's generating function into the arena vars.
+
+    cols holds, per variable of the arena, each coordinate's exponent of
+    that variable; the t column comes last.
+    """
+    def image(x):
+        return tuple([sum(map(mul, x, col)) for col in cols])
+
     num = {}
     for beta in piece.box():
-        a = sum(x * e[0] for x, e in zip(beta, exps))
-        b = sum(x * e[1] for x, e in zip(beta, exps))
-        key = (a, b)
+        key = image(beta)
         num[key] = num.get(key, 0) + 1
     if not piece.rays:
-        num = {(0, 0): 1}
+        num = {(0,) * len(vars): 1}
     den = {}
     for ray in piece.rays:
-        a = sum(x * e[0] for x, e in zip(ray, exps))
-        b = sum(x * e[1] for x, e in zip(ray, exps))
-        assert b > 0, "denominator factor without t-dependence"
-        den[(a, b)] = den.get((a, b), 0) + 1
-    return FactoredRationalFunction(LaurentPolynomial(QT, num), den)
+        key = image(ray)
+        assert key[-1] > 0, "denominator factor without t-dependence"
+        den[key] = den.get(key, 0) + 1
+    return FactoredRationalFunction(LaurentPolynomial(vars, num), den)
 
 
-def _piece_t(piece, exps, scale):
-    num = {}
-    for beta in piece.box():
-        b = sum(x * e[1] for x, e in zip(beta, exps))
-        num[(b,)] = num.get((b,), 0) + scale
-    if not piece.rays:
-        num = {(0,): scale}
-    den = {}
-    for ray in piece.rays:
-        b = sum(x * e[1] for x, e in zip(ray, exps))
-        den[(b,)] = den.get((b,), 0) + 1
-    return FactoredRationalFunction(LaurentPolynomial(T, num), den)
+# u = q^-1 in the (q, t) arena; the q -> 1 limit sends it to 1
+_U_IMAGE = {QT: [(-1, 0)], T: [(0,)]}
+
+
+def _region_term(face_groups, cols, vars, u_poly):
+    """A region's generating function in the arena vars (QT, or T for the
+    q -> 1 limit), times the Gaussian product u_poly.
+
+    cols is the (q, t) exponent map as its q and t columns; the t arena
+    drops the q column.  The pieces are summed per face first, then across
+    faces: cells of one face draw denominators from that face's small ray
+    pool, so the inner sums are cheap and only one lift per face reaches
+    the region-wide common denominator.
+    """
+    cols = cols[-len(vars):]
+    subs = [rf_sum_common([_piece(p, cols, vars) for p in cells], vars=vars)
+            for _, cells in face_groups]
+    f = rf_sum_common(subs, vars=vars)
+    weight = u_poly.substitute_monomials(_U_IMAGE[vars], vars)
+    return FactoredRationalFunction(poly_mul(f.num, weight), f.den)
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +382,12 @@ class ZetaResult:
     provenance: dict = field(default_factory=dict)
 
 
-def _walk_regions(d, pairs, progress=None, evict=False):
-    """Yield (pair, face-grouped pieces) grouped by shuffle, optionally
-    evicting each shuffle's cached cone data once its pairs are done."""
+def _walk_regions(d, pairs, progress=None):
+    """Yield (pair, face-grouped pieces) grouped by shuffle.
+
+    From d = 4 on there are too many shuffles to keep all their cone data,
+    so each shuffle's cached context is evicted once its pairs are done.
+    """
     done = 0
     for key, group in _grouped_by_sigma(pairs):
         for wp in group:
@@ -387,48 +396,79 @@ def _walk_regions(d, pairs, progress=None, evict=False):
             done += 1
             if progress:
                 progress(done, len(pairs))
-        if evict:
-            _evict_sigma(key)
+        if d >= 4:
+            _sigma_cache.pop(key, None)
 
 
-def _sum_qt(face_groups, exps):
-    """Two-level sum: per face first, then across faces.
+SWEEP_KINDS = ("padic", "reduced", "topological", "c_d")
 
-    Cells of one face draw denominators from that face's small ray pool,
-    so the inner sums are cheap and only one lift per face reaches the
-    region-wide common denominator.
+
+def zeta_all(d, kinds=SWEEP_KINDS, pairs=None, progress=None):
+    """One sweep over the pairs, building only the results named in kinds.
+
+    "padic", "reduced" and "topological" map to ZetaResults, "c_d" to the
+    constant as a Fraction.  All of them read the same per-pair cone
+    decompositions, so asking for several costs a single walk.  Only the
+    top-dimensional (dimension D = d + d') pieces reach the topological
+    function and c_d: each adds its lattice-box count over the product of
+    the linear forms b*s - a of its rays (c_d: over the product of the b).
     """
-    subs = [rf_sum_common([_piece_qt(p, exps) for p in cells], vars=QT)
-            for _, cells in face_groups]
-    return rf_sum_common(subs, vars=QT)
-
-
-def _sum_t(face_groups, exps, scale):
-    subs = [rf_sum_common([_piece_t(p, exps, scale) for p in cells], vars=T)
-            for _, cells in face_groups]
-    return rf_sum_common(subs, vars=T)
-
-
-def zeta_padic(d, progress=None, pairs=None, kind="padic", evict=None):
-    """The bivariate subalgebra zeta function in (q, t)."""
+    unknown = set(kinds) - set(SWEEP_KINDS)
+    if unknown:
+        raise ValueError(f"unknown kinds {sorted(unknown)}")
     start = time.time()
+    D = d + _dprime(d)
     if pairs is None:
         pairs = enumerate_Wd(d)
-    if evict is None:
-        evict = d >= 4
-    terms = []
+    qt_terms, t_terms, s_terms = [], [], []
+    c_d = Fraction(0)
     npieces = 0
-    for wp, groups in _walk_regions(d, pairs, progress, evict):
-        exps = wp.context.qt_exponents()
+    for wp, groups in _walk_regions(d, pairs, progress):
+        cols = list(zip(*wp.context.qt_exponents()))
+        u_poly = _gaussian_product(wp)
         npieces += sum(len(cells) for _, cells in groups)
-        f = _sum_qt(groups, exps)
-        g = gmc(wp)
-        gq = LaurentPolynomial(QT, {(e[0], 0): c for e, c in g.terms.items()})
-        terms.append(FactoredRationalFunction(poly_mul(f.num, gq), f.den))
-    value = rf_normalize(rf_sum_common(terms, vars=QT))
-    return ZetaResult(d, kind, value, {
-        "pairs": len(pairs), "pieces": npieces,
-        "seconds": round(time.time() - start, 3)})
+        if "padic" in kinds:
+            qt_terms.append(_region_term(groups, cols, QT, u_poly))
+        if "reduced" in kinds:
+            t_terms.append(_region_term(groups, cols, T, u_poly))
+        if "topological" not in kinds and "c_d" not in kinds:
+            continue
+        q_col, t_col = cols
+        scale = sum(u_poly.terms.values())
+        for p in (p for _, cells in groups for p in cells if p.dim == D):
+            den = {}
+            for ray in p.rays:
+                key = (sum(map(mul, ray, t_col)), sum(map(mul, ray, q_col)))
+                den[key] = den.get(key, 0) + 1
+            count = scale * p.count_box()
+            if "topological" in kinds:
+                s_terms.append(LinearFactoredFunction([count], den))
+            if "c_d" in kinds:
+                c_d += Fraction(count, prod(b ** m
+                                            for (b, _), m in den.items()))
+    values = {}
+    if "padic" in kinds:
+        values["padic"] = rf_normalize(rf_sum_common(qt_terms, vars=QT))
+    if "reduced" in kinds:
+        values["reduced"] = rf_normalize(rf_sum_common(t_terms, vars=T))
+    if "topological" in kinds:
+        values["topological"] = lff_sum(s_terms)
+    seconds = round(time.time() - start, 3)
+    out = {}
+    for kind, value in values.items():
+        # the topological sum skips lower-dimensional pieces, so it
+        # reports no piece count
+        counts = {"pairs": len(pairs)} if kind == "topological" \
+            else {"pairs": len(pairs), "pieces": npieces}
+        out[kind] = ZetaResult(d, kind, value, {**counts, "seconds": seconds})
+    if "c_d" in kinds:
+        out["c_d"] = c_d
+    return out
+
+
+def zeta_padic(d, progress=None, pairs=None):
+    """The bivariate subalgebra zeta function in (q, t)."""
+    return zeta_all(d, ("padic",), pairs, progress)["padic"]
 
 
 def zeta_overlap(d, word, progress=None):
@@ -443,9 +483,8 @@ def zeta_overlap(d, word, progress=None):
         if bal < 0:
             raise ValueError(f"unbalanced prefix in {word}")
     pairs = [wp for wp in enumerate_Wd(d) if wp.context.dyck == word]
-    res = zeta_padic(d, progress=progress, pairs=pairs,
-                     kind=f"overlap:{''.join(map(str, word))}")
-    res.d = d
+    res = zeta_padic(d, progress=progress, pairs=pairs)
+    res.kind = f"overlap:{''.join(map(str, word))}"
     return res
 
 
@@ -496,7 +535,7 @@ def zeta_no_overlap(d, route="via_H", progress=None):
     start = time.time()
     dp = _dprime(d)
     monoid = no_overlap_monoid(d)
-    exps = numerical_map(d, kind="no_overlap")
+    cols = list(zip(*numerical_map(d, kind="no_overlap")))
     terms = []
     combos = [(I, J) for I in _subsets_lex(d - 1) for J in _subsets_lex(dp - 1)]
     npieces = 0
@@ -504,12 +543,9 @@ def zeta_no_overlap(d, route="via_H", progress=None):
         A, C = hij_region_sets(d, I, J)
         groups = decompose_region_by_face(monoid, A, C)
         npieces += sum(len(cells) for _, cells in groups)
-        f = _sum_qt(groups, exps)
         u_poly = poly_mul(gaussian_multinomial(d, I),
                           gaussian_multinomial(dp, J))
-        gq = LaurentPolynomial(QT, {(-e[0], 0): c
-                                    for e, c in u_poly.terms.items()})
-        terms.append(FactoredRationalFunction(poly_mul(f.num, gq), f.den))
+        terms.append(_region_term(groups, cols, QT, u_poly))
         if progress:
             progress(k + 1, len(combos))
     value = rf_normalize(rf_sum_common(terms, vars=QT))
@@ -518,133 +554,35 @@ def zeta_no_overlap(d, route="via_H", progress=None):
         "seconds": round(time.time() - start, 3)})
 
 
-def zeta_reduced(d, progress=None, evict=None):
+def zeta_reduced(d, progress=None):
     """The q -> 1 specialization, computed summand-wise in t."""
-    start = time.time()
-    pairs = enumerate_Wd(d)
-    if evict is None:
-        evict = d >= 4
-    terms = []
-    npieces = 0
-    for wp, groups in _walk_regions(d, pairs, progress, evict):
-        exps = wp.context.qt_exponents()
-        npieces += sum(len(cells) for _, cells in groups)
-        scale = mc(wp)
-        f = _sum_t(groups, exps, 1)
-        terms.append(FactoredRationalFunction(f.num.scale(scale), f.den))
-    value = rf_normalize(rf_sum_common(terms, vars=T))
-    return ZetaResult(d, "reduced", value, {
-        "pairs": len(pairs), "pieces": npieces,
-        "seconds": round(time.time() - start, 3)})
+    return zeta_all(d, ("reduced",), progress=progress)["reduced"]
 
 
-def zeta_topological(d, progress=None, evict=None):
-    """The topological zeta function, a univariate rational function in s.
-
-    Only the top-dimensional (dimension D = d + d') simplicial pieces
-    contribute; each adds its lattice-box count over the product of the
-    linear forms b*s - a of its rays.
-    """
-    start = time.time()
-    D = d + _dprime(d)
-    pairs = enumerate_Wd(d)
-    if evict is None:
-        evict = d >= 4
-    terms = []
-    for wp, groups in _walk_regions(d, pairs, progress, evict):
-        scale = mc(wp)
-        exps = wp.context.qt_exponents()
-        for p in (p for _, cells in groups for p in cells):
-            if p.dim != D:
-                continue
-            den = {}
-            for ray in p.rays:
-                a = sum(x * e[0] for x, e in zip(ray, exps))
-                b = sum(x * e[1] for x, e in zip(ray, exps))
-                den[(b, a)] = den.get((b, a), 0) + 1
-            terms.append(LinearFactoredFunction([scale * p.count_box()], den))
-    value = lff_sum(terms)
-    return ZetaResult(d, "topological", value, {
-        "pairs": len(pairs), "seconds": round(time.time() - start, 3)})
+def zeta_topological(d, progress=None):
+    """The topological zeta function, a univariate rational function in s."""
+    return zeta_all(d, ("topological",), progress=progress)["topological"]
 
 
-def c_constant(d, progress=None, evict=None) -> Fraction:
-    """The rational constant tying the reduced residue to the topological
-    behaviour at infinity."""
-    D = d + _dprime(d)
-    pairs = enumerate_Wd(d)
-    if evict is None:
-        evict = d >= 4
-    total = Fraction(0)
-    for wp, groups in _walk_regions(d, pairs, progress, evict):
-        scale = mc(wp)
-        exps = wp.context.qt_exponents()
-        for p in (p for _, cells in groups for p in cells):
-            if p.dim != D:
-                continue
-            denom = 1
-            for ray in p.rays:
-                denom *= sum(x * e[1] for x, e in zip(ray, exps))
-            total += Fraction(scale * p.count_box(), denom)
-    return total
+def c_constant(d, progress=None) -> Fraction:
+    """The constant tying the reduced residue to the topological limit."""
+    return zeta_all(d, ("c_d",), progress=progress)["c_d"]
 
 
 # ---------------------------------------------------------------------------
 # Checks and reports.
 
 
-def zeta_all(d, progress=None, evict=None):
-    """One sweep producing the p-adic, reduced, and topological results.
-
-    Shares each shuffle's cone decompositions across the three sums, which
-    matters for d >= 4 where the decompositions dominate the runtime.
-    """
-    start = time.time()
-    D = d + _dprime(d)
-    pairs = enumerate_Wd(d)
-    if evict is None:
-        evict = d >= 4
-    qt_terms, t_terms, s_terms = [], [], []
-    npieces = 0
-    for wp, groups in _walk_regions(d, pairs, progress, evict):
-        exps = wp.context.qt_exponents()
-        npieces += sum(len(cells) for _, cells in groups)
-        scale = mc(wp)
-        f = _sum_qt(groups, exps)
-        g = gmc(wp)
-        gq = LaurentPolynomial(QT, {(e[0], 0): c for e, c in g.terms.items()})
-        qt_terms.append(FactoredRationalFunction(poly_mul(f.num, gq), f.den))
-        ft = _sum_t(groups, exps, 1)
-        t_terms.append(FactoredRationalFunction(ft.num.scale(scale), ft.den))
-        for p in (p for _, cells in groups for p in cells):
-            if p.dim != D:
-                continue
-            den = {}
-            for ray in p.rays:
-                a = sum(x * e[0] for x, e in zip(ray, exps))
-                b = sum(x * e[1] for x, e in zip(ray, exps))
-                den[(b, a)] = den.get((b, a), 0) + 1
-            s_terms.append(LinearFactoredFunction([scale * p.count_box()],
-                                                 den))
-    meta = {"pairs": len(pairs), "pieces": npieces}
-    reduced = ZetaResult(d, "reduced",
-                         rf_normalize(rf_sum_common(t_terms, vars=T)),
-                         dict(meta))
-    topological = ZetaResult(d, "topological", lff_sum(s_terms), dict(meta))
-    padic = ZetaResult(d, "padic",
-                       rf_normalize(rf_sum_common(qt_terms, vars=QT)),
-                       dict(meta))
-    for r in (padic, reduced, topological):
-        r.provenance["seconds"] = round(time.time() - start, 3)
-    return {"padic": padic, "reduced": reduced, "topological": topological}
-
-
 def check_functional_equation(value: FactoredRationalFunction, D: int) -> bool:
-    """zeta(1/q, 1/t) = (-1)^D q^(D choose 2) t^D zeta(q, t)."""
+    """zeta(1/q, 1/t) = (-1)^D q^(D choose 2) t^D zeta(q, t).
+
+    In the t arena, the q -> 1 limit, it reads zeta(1/t) = (-1)^D t^D zeta(t).
+    """
     lhs = rf_invert_vars(value)
     sign = -1 if D % 2 else 1
+    shift = (comb(D, 2), D) if value.vars == QT else (D,)
     rhs = FactoredRationalFunction(
-        value.num.shift((comb(D, 2), D)).scale(sign), value.den)
+        value.num.shift(shift).scale(sign), value.den)
     return rf_equal(lhs, rhs)
 
 
@@ -818,10 +756,11 @@ def _revalidation_failure(d, kind, stored, value):
     if kind == "topological":
         if value.degree() != -D:
             return f"degree {value.degree()}, expected {-D}"
-    elif kind in ("padic", "no_overlap") or kind.startswith("overlap:"):
-        # every overlap summand satisfies the functional equation too
-        if not check_functional_equation(value, D):
-            return "fails the functional equation"
+    elif value.vars != (T if kind == "reduced" else QT):
+        return f"variables {','.join(value.vars)}"
+    elif not check_functional_equation(value, D):
+        # so do every overlap summand and the q -> 1 limit
+        return "fails the functional equation"
     return None
 
 

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from nilzeta import zeta
 from nilzeta.cli import main
 
 
@@ -20,6 +21,7 @@ def test_usage_errors(capsys):
     assert run(capsys, "compute", "--d", "2", "--kind", "nonsense")[0] == 64
     assert run(capsys, "compute", "--d", "2", "--kind", "overlap")[0] == 64
     assert run(capsys, "verify", "--d", "2", "--suite", "bogus")[0] == 64
+    assert run(capsys, "compute", "--d", "2", "--jobs", "2")[0] == 64
     assert run(capsys, "nonsense")[0] == 64
     assert run(capsys)[0] == 64
 
@@ -128,8 +130,9 @@ def test_truncated_cache_file_is_a_miss(tmp_path, capsys):
     assert run(capsys, *args)[1:] == (clean, "")
 
 
-@pytest.mark.parametrize("kind", [["padic"], ["overlap", "--word", "01"]],
-                         ids=["padic", "overlap"])
+@pytest.mark.parametrize("kind", [["padic"], ["overlap", "--word", "01"],
+                                  ["reduced"]],
+                         ids=["padic", "overlap", "reduced"])
 def test_cache_file_failing_revalidation_is_a_miss(tmp_path, capsys, kind):
     cache = tmp_path / "cache"
     args = ("compute", "--d", "2", "--kind", *kind, "--format", "text",
@@ -147,3 +150,31 @@ def test_cache_file_failing_revalidation_is_a_miss(tmp_path, capsys, kind):
     reasons = [line for line in err.splitlines() if line.startswith("cache:")]
     assert len(reasons) == 1 and name in reasons[0]
     assert run(capsys, *args)[1:] == (clean, "")
+
+
+@pytest.mark.parametrize("argv, walks", [
+    (("report",), 1),
+    (("verify", "--suite", "pole"), 1),
+    (("verify", "--suite", "golden"), 1),
+    (("verify", "--suite", "funeq"), 2),
+    (("verify", "--suite", "all"), 3),
+], ids=["report", "pole", "golden", "funeq", "all"])
+def test_requests_share_one_sweep(capsys, monkeypatch, argv, walks):
+    """Each request walks the 44 pairs of d=3 at most `walks` times.
+
+    funeq also walks every overlap word, which together cover the pairs
+    once more; all adds the oracle route comparison's own p-adic walk.
+    """
+    visits = []
+    original = zeta.region_of_wpair
+
+    def counted(wp):
+        visits.append(wp)
+        return original(wp)
+
+    monkeypatch.setattr(zeta, "region_of_wpair", counted)
+    code, _, err = run(capsys, argv[0], "--d", "3", *argv[1:])
+    assert code == 0
+    assert len(visits) <= 44 * walks
+    if argv[0] == "report":
+        assert err.count("progress:") == 1

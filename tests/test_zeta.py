@@ -1,7 +1,7 @@
 """Assembled zeta functions against closed forms, invariants, bijections."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -30,6 +30,7 @@ from nilzeta.golden import (
 )
 from nilzeta.zeta import (
     QT,
+    SWEEP_KINDS,
     WPair,
     check_functional_equation,
     c_constant,
@@ -44,6 +45,7 @@ from nilzeta.zeta import (
     pole_report,
     region_of_wpair,
     wd_contains,
+    zeta_all,
     zeta_no_overlap,
     zeta_overlap,
     zeta_padic,
@@ -218,6 +220,9 @@ def test_reduced_is_padic_at_q_1():
 def test_functional_equations(z2, z3):
     assert check_functional_equation(z2.value, 3)
     assert check_functional_equation(z3.value, 6)
+    # the q -> 1 form, zeta_red(1/t) = (-1)^D t^D zeta_red(t)
+    for d in (2, 3):
+        assert check_functional_equation(golden_reduced(d), big_d(d))
 
 
 def test_functional_equation_no_overlap_and_overlaps():
@@ -422,6 +427,26 @@ def test_no_ray_supported_only_on_slack():
             ctx = wp.context
             for ray in ctx.monoid.rays():
                 assert any(ray[: d + ctx.dp])
+
+
+def test_sweep_builds_what_is_asked_and_agrees_with_the_full_sweep():
+    same = {"padic": rf_equal, "reduced": rf_equal,
+            "topological": lff_equal}
+    for d in (2, 3):
+        full = zeta_all(d)
+        assert full["c_d"] == C_CONSTANTS[d]
+        for n in range(1, len(SWEEP_KINDS) + 1):
+            for kinds in combinations(SWEEP_KINDS, n):
+                part = zeta_all(d, kinds)
+                assert set(part) == set(kinds)
+                for kind in kinds:
+                    if kind == "c_d":
+                        assert part[kind] == full[kind]
+                    else:
+                        assert same[kind](part[kind].value,
+                                          full[kind].value), (d, kinds)
+    with pytest.raises(ValueError):
+        zeta_all(2, ("bogus",))
 
 
 def test_gmc_mc_basics():
