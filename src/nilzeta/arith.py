@@ -155,11 +155,6 @@ class LaurentPolynomial:
             return (0,) * len(self.vars)
         return tuple(min(e[i] for e in self.terms) for i in range(len(self.vars)))
 
-    def degree_in(self, i):
-        if not self.terms:
-            return None
-        return max(e[i] for e in self.terms)
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -351,10 +346,6 @@ class FactoredRationalFunction:
     def one(cls, vars):
         return cls(LaurentPolynomial.one(vars))
 
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p)
-
     def is_zero(self):
         return self.num.is_zero()
 
@@ -411,10 +402,6 @@ def rf_normalize(f: FactoredRationalFunction) -> FactoredRationalFunction:
     return FactoredRationalFunction(num, den)
 
 
-def rf_mul_poly(f: FactoredRationalFunction, p: LaurentPolynomial):
-    return FactoredRationalFunction(poly_mul(f.num, p), f.den)
-
-
 def rf_mul(f: FactoredRationalFunction, g: FactoredRationalFunction):
     _check_same_arena(f, g)
     den = dict(f.den)
@@ -423,8 +410,8 @@ def rf_mul(f: FactoredRationalFunction, g: FactoredRationalFunction):
     return FactoredRationalFunction(poly_mul(f.num, g.num), den)
 
 
-def rf_add(f: FactoredRationalFunction, g: FactoredRationalFunction,
-           normalize=True) -> FactoredRationalFunction:
+def rf_add(f: FactoredRationalFunction,
+           g: FactoredRationalFunction) -> FactoredRationalFunction:
     """Add on the factor-wise least common denominator."""
     _check_same_arena(f, g)
     if f.is_zero():
@@ -440,8 +427,7 @@ def rf_add(f: FactoredRationalFunction, g: FactoredRationalFunction,
     for e, m in lcm.items():
         nf = poly_mul_binomial(nf, e, m - f.den.get(e, 0))
         ng = poly_mul_binomial(ng, e, m - g.den.get(e, 0))
-    out = FactoredRationalFunction(nf + ng, lcm)
-    return rf_normalize(out) if normalize else out
+    return rf_normalize(FactoredRationalFunction(nf + ng, lcm))
 
 
 def rf_sum(terms, vars=None):
@@ -461,7 +447,7 @@ def rf_sum(terms, vars=None):
     return terms[0]
 
 
-def rf_sum_common(terms, vars=None, normalize=True):
+def rf_sum_common(terms, vars=None):
     """Sum over one factor-wise common denominator, normalizing once.
 
     Equal (as a rational function) to rf_sum, but much faster for many
@@ -498,9 +484,8 @@ def rf_sum_common(terms, vars=None, normalize=True):
             num = poly_mul_binomial(num, e, m - den.get(e, 0))
         for e, c in num.terms.items():
             acc[e] = acc.get(e, 0) + c
-    out = FactoredRationalFunction(
-        LaurentPolynomial(vars, {e: c for e, c in acc.items() if c}), lcm)
-    return rf_normalize(out) if normalize else out
+    return rf_normalize(FactoredRationalFunction(
+        LaurentPolynomial(vars, {e: c for e, c in acc.items() if c}), lcm))
 
 
 def rf_equal(f: FactoredRationalFunction, g: FactoredRationalFunction) -> bool:
@@ -653,12 +638,6 @@ def upoly_add(p, q):
     out = [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
            for i in range(n)]
     return upoly_trim(out)
-
-
-def upoly_scale(p, c):
-    if not c:
-        return []
-    return [c * x for x in p]
 
 
 def upoly_mul(p, q):

@@ -6,10 +6,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import zeta as zmod
-from .arith import FactoredRationalFunction, rf_equal, rf_series_coeffs
+from .arith import FactoredRationalFunction, rf_equal
 from .oracle import CapacityExceeded, compare_routes, count_subalgebras
 
 EXIT_OK = 0
@@ -145,12 +144,9 @@ def _verify_funeq(d, sweep):
     ok &= _check(f"functional equation, no-overlap d={d}",
                  zmod.check_functional_equation(
                      zmod.zeta_no_overlap(d).value, D))
-    words = sorted({wp.context.dyck for wp in zmod.enumerate_Wd(d)})
-    for w in words:
-        word = "".join(map(str, w))
+    for word, summand in sorted(sweep["overlap"].items()):
         ok &= _check(f"functional equation, overlap {word} d={d}",
-                     zmod.check_functional_equation(
-                         zmod.zeta_overlap(d, w).value, D))
+                     zmod.check_functional_equation(summand.value, D))
     return ok
 
 
@@ -165,8 +161,8 @@ def _verify_pole(d, sweep):
                   str(rep))
 
 
-def _verify_oracle(d, p, order):
-    rep = compare_routes(d, p, order)
+def _verify_oracle(d, sweep, p, order):
+    rep = compare_routes(d, p, order, sweep["padic"].value)
     print(rep.text())
     return _check(f"oracle routes d={d} p={p} order={order}", rep.ok)
 
@@ -174,9 +170,9 @@ def _verify_oracle(d, p, order):
 # what each suite reads off the shared sweep over the pairs
 SUITE_KINDS = {
     "golden": ("padic", "reduced", "topological"),
-    "funeq": ("padic",),
+    "funeq": ("padic", "overlap"),
     "pole": ("reduced", "topological", "c_d"),
-    "oracle": (),
+    "oracle": ("padic",),
 }
 
 
@@ -186,7 +182,7 @@ def cmd_verify(args):
     suite = args.suite
     suites = SUITE_KINDS if suite == "all" else (suite,)
     kinds = {k for s in suites for k in SUITE_KINDS[s]}
-    sweep = zmod.zeta_all(d, kinds) if kinds else {}
+    sweep = zmod.zeta_all(d, kinds)
     try:
         if suite in ("golden", "all"):
             ok &= _verify_golden(d, sweep)
@@ -195,7 +191,7 @@ def cmd_verify(args):
         if suite in ("pole", "all"):
             ok &= _verify_pole(d, sweep)
         if suite in ("oracle", "all"):
-            ok &= _verify_oracle(d, args.p, args.order)
+            ok &= _verify_oracle(d, sweep, args.p, args.order)
     except CapacityExceeded as exc:
         print(f"oracle capacity exceeded: {exc}", file=sys.stderr)
         return EXIT_ORACLE_CAPACITY
@@ -256,7 +252,10 @@ def build_parser():
     sc.set_defaults(func=cmd_compute)
 
     sv = sub.add_parser("verify", help="run verification suites")
-    common(sv)
+    sv.add_argument("--d", type=int, required=True)
+    # accepted so that command lines shared with compute still parse;
+    # verify recomputes everything and reads no cache
+    sv.add_argument("--cache-dir")
     sv.add_argument("--suite",
                     choices=("golden", "funeq", "pole", "oracle", "all"),
                     default="all")

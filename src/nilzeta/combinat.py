@@ -13,7 +13,6 @@ those of its intersection with the centre.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -25,10 +24,6 @@ from .arith import LaurentPolynomial, poly_mul
 # u = q^-1 images when substituting into larger arenas.
 
 U = ("u",)
-
-
-def _upoly(coeffs):
-    return LaurentPolynomial(U, {(i,): c for i, c in enumerate(coeffs) if c})
 
 
 @lru_cache(maxsize=None)
@@ -59,10 +54,6 @@ def gaussian_multinomial(n: int, subset) -> LaurentPolynomial:
     for low, high in zip(chain, chain[1:] + [n]):
         out = poly_mul(out, gaussian_binomial(high, low))
     return out
-
-
-def gaussian_eval(p: LaurentPolynomial, u_value) -> Fraction:
-    return p.evaluate((Fraction(u_value),))
 
 
 # ---------------------------------------------------------------------------

@@ -411,9 +411,6 @@ class DiophantineMonoid:
         return [frozenset(_bits(f))
                 for f in self._faces_within((1 << self.num_vars) - 1)]
 
-    def face_rays(self, B):
-        return self._face_rays(_mask(B))
-
     def face_dim(self, B):
         return self._face_dim(_mask(B))
 

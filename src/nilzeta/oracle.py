@@ -202,13 +202,11 @@ class RouteReport:
         return "\n".join(lines)
 
 
-def compare_routes(d, p, order, guard=10 ** 7):
-    """Compare the assembled zeta function's series with both brute-force
-    routes up to t^order."""
+def compare_routes(d, p, order, value):
+    """Compare the series of value, the assembled zeta function in (q, t),
+    with both brute-force routes up to t^order."""
     from .arith import rf_series_coeffs
-    from .zeta import zeta_padic
-    series = [int(c) for c in
-              rf_series_coeffs(zeta_padic(d).value, p, order)]
+    series = [int(c) for c in rf_series_coeffs(value, p, order)]
     gss = gss_partial(d, p, order)
-    brute = subalgebra_series(d, p, order, guard)
+    brute = subalgebra_series(d, p, order)
     return RouteReport(d, p, order, series, gss, brute)

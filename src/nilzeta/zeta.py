@@ -400,13 +400,15 @@ def _walk_regions(d, pairs, progress=None):
             _sigma_cache.pop(key, None)
 
 
-SWEEP_KINDS = ("padic", "reduced", "topological", "c_d")
+SWEEP_KINDS = ("padic", "overlap", "reduced", "topological", "c_d")
 
 
 def zeta_all(d, kinds=SWEEP_KINDS, pairs=None, progress=None):
     """One sweep over the pairs, building only the results named in kinds.
 
-    "padic", "reduced" and "topological" map to ZetaResults, "c_d" to the
+    "padic", "reduced" and "topological" map to ZetaResults, "overlap" to a
+    dict from each Dyck word to the ZetaResult of its summand (the sum of
+    the (q, t) terms of its pairs, as zeta_overlap returns it), "c_d" to the
     constant as a Fraction.  All of them read the same per-pair cone
     decompositions, so asking for several costs a single walk.  Only the
     top-dimensional (dimension D = d + d') pieces reach the topological
@@ -421,14 +423,23 @@ def zeta_all(d, kinds=SWEEP_KINDS, pairs=None, progress=None):
     if pairs is None:
         pairs = enumerate_Wd(d)
     qt_terms, t_terms, s_terms = [], [], []
+    words = {}  # Dyck word -> [(q, t) terms of its pairs, pieces]
     c_d = Fraction(0)
     npieces = 0
     for wp, groups in _walk_regions(d, pairs, progress):
         cols = list(zip(*wp.context.qt_exponents()))
         u_poly = _gaussian_product(wp)
-        npieces += sum(len(cells) for _, cells in groups)
-        if "padic" in kinds:
-            qt_terms.append(_region_term(groups, cols, QT, u_poly))
+        pieces = sum(len(cells) for _, cells in groups)
+        npieces += pieces
+        if "padic" in kinds or "overlap" in kinds:
+            qt = _region_term(groups, cols, QT, u_poly)
+            if "padic" in kinds:
+                qt_terms.append(qt)
+            if "overlap" in kinds:
+                acc = words.setdefault(
+                    "".join(map(str, wp.context.dyck)), [[], 0])
+                acc[0].append(qt)
+                acc[1] += pieces
         if "reduced" in kinds:
             t_terms.append(_region_term(groups, cols, T, u_poly))
         if "topological" not in kinds and "c_d" not in kinds:
@@ -453,6 +464,8 @@ def zeta_all(d, kinds=SWEEP_KINDS, pairs=None, progress=None):
         values["reduced"] = rf_normalize(rf_sum_common(t_terms, vars=T))
     if "topological" in kinds:
         values["topological"] = lff_sum(s_terms)
+    summands = {w: rf_normalize(rf_sum_common(terms, vars=QT))
+                for w, (terms, _) in sorted(words.items())}
     seconds = round(time.time() - start, 3)
     out = {}
     for kind, value in values.items():
@@ -461,6 +474,12 @@ def zeta_all(d, kinds=SWEEP_KINDS, pairs=None, progress=None):
         counts = {"pairs": len(pairs)} if kind == "topological" \
             else {"pairs": len(pairs), "pieces": npieces}
         out[kind] = ZetaResult(d, kind, value, {**counts, "seconds": seconds})
+    if "overlap" in kinds:
+        out["overlap"] = {
+            w: ZetaResult(d, f"overlap:{w}", value, {
+                "pairs": len(words[w][0]), "pieces": words[w][1],
+                "seconds": seconds})
+            for w, value in summands.items()}
     if "c_d" in kinds:
         out["c_d"] = c_d
     return out

@@ -1,5 +1,8 @@
 """Brute-force enumeration oracles and the three-route comparison."""
 
+import ast
+import os
+
 import pytest
 
 from nilzeta.arith import rf_series_coeffs
@@ -70,6 +73,26 @@ def test_series_oracle_agreement():
 
 @pytest.mark.parametrize("d,p,order", [(2, 2, 4), (2, 3, 3), (3, 2, 2)])
 def test_compare_routes(d, p, order):
-    report = compare_routes(d, p, order)
+    report = compare_routes(d, p, order, zeta_padic(d).value)
     assert report.ok, report.text()
     assert report.first_mismatch is None
+
+
+def test_oracle_shares_no_code_with_the_assembly():
+    """The oracle checks the cone and rational-function assembly, so it
+    imports neither; the assembled function is passed in."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "src",
+                        "nilzeta", "oracle.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+            if node.level and not node.module:
+                imported.update("." + a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    for name in ("zeta", "cones"):
+        assert f".{name}" not in imported
+        assert f"nilzeta.{name}" not in imported

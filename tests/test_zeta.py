@@ -442,9 +442,22 @@ def test_sweep_builds_what_is_asked_and_agrees_with_the_full_sweep():
                 for kind in kinds:
                     if kind == "c_d":
                         assert part[kind] == full[kind]
+                    elif kind == "overlap":
+                        assert part[kind].keys() == full[kind].keys()
+                        for w, res in part[kind].items():
+                            assert rf_equal(res.value,
+                                            full[kind][w].value), (d, w)
                     else:
                         assert same[kind](part[kind].value,
                                           full[kind].value), (d, kinds)
+        words = {"".join(map(str, wp.context.dyck)) for wp in enumerate_Wd(d)}
+        assert set(full["overlap"]) == words
+        for w, res in full["overlap"].items():
+            alone = zeta_overlap(d, w)
+            assert res.kind == alone.kind == f"overlap:{w}"
+            assert rf_equal(res.value, alone.value), (d, w)
+            for key in ("pairs", "pieces"):
+                assert res.provenance[key] == alone.provenance[key], (d, w)
     with pytest.raises(ValueError):
         zeta_all(2, ("bogus",))
 
