@@ -12,6 +12,7 @@ the arena's length.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from operator import mul
 
@@ -357,10 +358,7 @@ class FactoredRationalFunction:
         return f"({self.num!r}) / ({den or '1'})"
 
     def den_poly(self):
-        p = LaurentPolynomial.one(self.vars)
-        for e, m in self.den.items():
-            p = poly_mul_binomial(p, e, m)
-        return p
+        return _times_factors(LaurentPolynomial.one(self.vars), self.den)
 
     def to_json_obj(self):
         num = []
@@ -402,65 +400,19 @@ def rf_normalize(f: FactoredRationalFunction) -> FactoredRationalFunction:
     return FactoredRationalFunction(num, den)
 
 
-def rf_mul(f: FactoredRationalFunction, g: FactoredRationalFunction):
-    _check_same_arena(f, g)
-    den = dict(f.den)
-    for e, m in g.den.items():
-        den[e] = den.get(e, 0) + m
-    return FactoredRationalFunction(poly_mul(f.num, g.num), den)
-
-
-def rf_add(f: FactoredRationalFunction,
-           g: FactoredRationalFunction) -> FactoredRationalFunction:
-    """Add on the factor-wise least common denominator."""
-    _check_same_arena(f, g)
-    if f.is_zero():
-        return g
-    if g.is_zero():
-        return f
-    lcm = dict(f.den)
-    for e, m in g.den.items():
-        if lcm.get(e, 0) < m:
-            lcm[e] = m
-    nf = f.num
-    ng = g.num
-    for e, m in lcm.items():
-        nf = poly_mul_binomial(nf, e, m - f.den.get(e, 0))
-        ng = poly_mul_binomial(ng, e, m - g.den.get(e, 0))
-    return rf_normalize(FactoredRationalFunction(nf + ng, lcm))
-
-
-def rf_sum(terms, vars=None):
-    """Associative tree reduction; rf_equal-deterministic result."""
-    terms = list(terms)
-    if not terms:
-        if vars is None:
-            raise ValueError("empty sum needs an explicit arena")
-        return FactoredRationalFunction.zero(vars)
-    while len(terms) > 1:
-        nxt = []
-        for i in range(0, len(terms) - 1, 2):
-            nxt.append(rf_add(terms[i], terms[i + 1]))
-        if len(terms) % 2:
-            nxt.append(terms[-1])
-        terms = nxt
-    return terms[0]
-
-
 def rf_sum_common(terms, vars=None):
-    """Sum over one factor-wise common denominator, normalizing once.
+    """Sum over the factor-wise least common denominator, normalizing once.
 
-    Equal (as a rational function) to rf_sum, but much faster for many
-    terms drawn from a shared denominator-factor pool, as in the piece
-    sums of one cone region.
+    Terms with identical denominators add numerator-to-numerator first, so
+    many terms drawn from a shared denominator-factor pool, as in the piece
+    sums of one cone region, cost one lift per distinct denominator.  The
+    arena is the first term's; an empty sum needs it given as vars.
     """
-    terms = [t for t in terms if not t.is_zero()]
-    if not terms:
-        if vars is None:
-            raise ValueError("empty sum needs an explicit arena")
-        return FactoredRationalFunction.zero(vars)
-    vars = terms[0].vars
-    # terms with identical denominators add numerator-to-numerator first
+    terms = list(terms)
+    if terms:
+        vars = terms[0].vars
+    elif vars is None:
+        raise ValueError("empty sum needs an explicit arena")
     groups = {}
     lcm = {}
     for t in terms:
@@ -488,27 +440,24 @@ def rf_sum_common(terms, vars=None):
         LaurentPolynomial(vars, {e: c for e, c in acc.items() if c}), lcm))
 
 
+def _uncancelled(a, b):
+    """The factor multisets a and b with the factors they share cancelled."""
+    a, b = Counter(a), Counter(b)
+    return a - b, b - a
+
+
+def _times_factors(num, den):
+    """num times the product of the factors (1 - Z^e)^m of den."""
+    for e, m in den.items():
+        num = poly_mul_binomial(num, e, m)
+    return num
+
+
 def rf_equal(f: FactoredRationalFunction, g: FactoredRationalFunction) -> bool:
     """Exact equality as rational functions, by cross-multiplication."""
     _check_same_arena(f, g)
-    fden = dict(f.den)
-    gden = dict(g.den)
-    for e in list(fden):
-        if e in gden:
-            m = min(fden[e], gden[e])
-            fden[e] -= m
-            gden[e] -= m
-            if not fden[e]:
-                del fden[e]
-            if not gden[e]:
-                del gden[e]
-    left = f.num
-    for e, m in gden.items():
-        left = poly_mul_binomial(left, e, m)
-    right = g.num
-    for e, m in fden.items():
-        right = poly_mul_binomial(right, e, m)
-    return left == right
+    fden, gden = _uncancelled(f.den, g.den)
+    return _times_factors(f.num, gden) == _times_factors(g.num, fden)
 
 
 def rf_with_denominator(f: FactoredRationalFunction, den):
@@ -517,20 +466,8 @@ def rf_with_denominator(f: FactoredRationalFunction, den):
     den maps exponent vectors e to multiplicities of factors (1 - x^e).
     Raises NotDivisible if f cannot be written over that denominator.
     """
-    den = dict(den)
-    extra = dict(f.den)
-    for e in list(extra):
-        if e in den:
-            m = min(extra[e], den[e])
-            extra[e] -= m
-            den[e] -= m
-            if not extra[e]:
-                del extra[e]
-            if not den[e]:
-                del den[e]
-    num = f.num
-    for e, m in den.items():
-        num = poly_mul_binomial(num, e, m)
+    extra, den = _uncancelled(f.den, den)
+    num = _times_factors(f.num, den)
     for e, m in extra.items():
         for _ in range(m):
             num = poly_div_binomial(num, e)
@@ -690,19 +627,11 @@ class LinearFactoredFunction:
                 if m > 0:
                     self.den[(b, a)] = self.den.get((b, a), 0) + m
 
-    @classmethod
-    def zero(cls):
-        return cls([])
-
     def is_zero(self):
         return not self.num
 
     def den_poly(self):
-        p = [1]
-        for (b, a), m in self.den.items():
-            for _ in range(m):
-                p = upoly_mul(p, [-a, b])
-        return p
+        return _times_linear([1], self.den)
 
     def normalize(self):
         num = self.num
@@ -732,41 +661,46 @@ class LinearFactoredFunction:
         den = [[m, b, a] for (b, a), m in sorted(self.den.items())]
         return {"vars": ["s"], "num": num, "den": den}
 
+    @classmethod
+    def from_json_obj(cls, obj):
+        num = [0] * (max((row[2] for row in obj["num"]), default=-1) + 1)
+        for cn, cd, i in obj["num"]:
+            c = Fraction(int(cn), int(cd))
+            num[i] = int(c) if c.denominator == 1 else c
+        den = {(b, a): m for m, b, a in obj["den"]}
+        return cls(num, den)
+
     def __repr__(self):
         den = " * ".join(f"({b}s-{a})^{m}" for (b, a), m in sorted(self.den.items()))
         return f"({self.num}) / ({den or '1'})"
 
 
-def lff_add(f: LinearFactoredFunction, g: LinearFactoredFunction):
-    if f.is_zero():
-        return g
-    if g.is_zero():
-        return f
-    lcm = dict(f.den)
-    for k, m in g.den.items():
-        if lcm.get(k, 0) < m:
-            lcm[k] = m
-    nf = f.num
-    ng = g.num
-    for (b, a), m in lcm.items():
-        for _ in range(m - f.den.get((b, a), 0)):
-            nf = upoly_mul(nf, [-a, b])
-        for _ in range(m - g.den.get((b, a), 0)):
-            ng = upoly_mul(ng, [-a, b])
-    return LinearFactoredFunction(upoly_add(nf, ng), lcm).normalize()
+def _times_linear(num, den):
+    """num times the product of the factors (b*s - a)^m of den."""
+    for (b, a), m in den.items():
+        for _ in range(m):
+            num = upoly_mul(num, [-a, b])
+    return num
 
 
 def lff_sum(terms):
-    terms = list(terms)
-    total = LinearFactoredFunction.zero()
-    while len(terms) > 1:
-        nxt = []
-        for i in range(0, len(terms) - 1, 2):
-            nxt.append(lff_add(terms[i], terms[i + 1]))
-        if len(terms) % 2:
-            nxt.append(terms[-1])
-        terms = nxt
-    return terms[0] if terms else total
+    """Sum over the factor-wise least common denominator, normalizing once.
+
+    Terms with identical denominators add numerator-to-numerator first.
+    """
+    groups = {}
+    lcm = {}
+    for t in terms:
+        sig = frozenset(t.den.items())
+        groups[sig] = upoly_add(groups.get(sig, []), t.num)
+        for k, m in t.den.items():
+            if lcm.get(k, 0) < m:
+                lcm[k] = m
+    total = []
+    for sig, num in groups.items():
+        lift = _uncancelled(lcm, dict(sig))[0]
+        total = upoly_add(total, _times_linear(num, lift))
+    return LinearFactoredFunction(total, lcm).normalize()
 
 
 def lff_equal(f: LinearFactoredFunction, g: LinearFactoredFunction) -> bool:

@@ -18,7 +18,7 @@ from itertools import product
 from math import gcd
 from operator import mul
 
-from .arith import FactoredRationalFunction, LaurentPolynomial, rf_sum
+from .arith import FactoredRationalFunction, LaurentPolynomial, rf_sum_common
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +557,7 @@ def genfun_region(monoid: DiophantineMonoid, A, C, vars=None):
     if vars is None:
         vars = tuple(f"z{i+1}" for i in range(monoid.num_vars))
     pieces = decompose_region(monoid, A, C)
-    return rf_sum([genfun_piece(p, vars) for p in pieces], vars=vars)
+    return rf_sum_common([genfun_piece(p, vars) for p in pieces], vars=vars)
 
 
 def region_dump(monoid: DiophantineMonoid, A, C):

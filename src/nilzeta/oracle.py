@@ -72,14 +72,18 @@ def hnf_count(n, index_exp, p):
     return total
 
 
+def _check_capacity(n, index_exp, p, guard):
+    count = hnf_count(n, index_exp, p)
+    if count > guard:
+        raise CapacityExceeded(
+            f"{count} Hermite normal forms exceed the guard of {guard}")
+
+
 def _hnf_lattices(n, index_exp, p, guard):
     """Yield column bases (upper triangular, diag p^a_i, row i entries
     reduced modulo the row's diagonal) of all sublattices of the given
     index."""
-    if hnf_count(n, index_exp, p) > guard:
-        raise CapacityExceeded(
-            f"{hnf_count(n, index_exp, p)} Hermite normal forms exceed the "
-            f"guard of {guard}")
+    _check_capacity(n, index_exp, p, guard)
     for diag in _compositions(index_exp, n):
         dvals = [p ** a for a in diag]
         free = [(i, j) for j in range(n) for i in range(j) if dvals[i] > 1]
@@ -130,6 +134,14 @@ def count_subalgebras(d, p, index_exp, guard=10 ** 7):
 def subalgebra_series(d, p, order, guard=10 ** 7):
     """Coefficients [c_0..c_order] of the subalgebra zeta function at p."""
     return [count_subalgebras(d, p, k, guard) for k in range(order + 1)]
+
+
+def check_series_capacity(d, p, order, guard=10 ** 7):
+    """Raise CapacityExceeded if subalgebra_series(d, p, order, guard)
+    would, without enumerating anything."""
+    n = d + _dprime(d)
+    for k in range(order + 1):
+        _check_capacity(n, k, p, guard)
 
 
 def _eval_at_p(poly, p):

@@ -128,6 +128,15 @@ class SigmaContext:
 
         Coordinate i in [d] maps to q^(a) t^i, coordinate d+j to q^(a) t^j,
         slack coordinates to 1.
+
+        Only b > 0 is required of a coordinate.  Its q-exponent a may be
+        negative (in the ten W_4 shuffles ending 6,5,4,3,2,1 the first
+        centre coordinate gets -1): the map is linear, so only its totals
+        on a region's rays and box points reach the generating function,
+        and those are what must be sound.  The denominator signs are
+        checked where the totals are formed: _piece asserts a positive
+        t-exponent on every ray, and FactoredRationalFunction rejects a
+        factor exponent of mixed sign.
         """
         if self._qt_exponents is None:
             d, dp = self.d, self.dp
@@ -147,7 +156,7 @@ class SigmaContext:
                     j = c - d + 1
                     a += j * d
                     b = j
-                assert a >= 0 and b > 0
+                assert b > 0
                 out.append((a, b))
             out.extend([(0, 0)] * self.r)
             self._qt_exponents = out
@@ -665,7 +674,12 @@ def _t_series_at_one(num: LaurentPolynomial):
 
 
 def pole_report(d, reduced: ZetaResult, topological: ZetaResult,
-                c_d=None, functional_equation_holds=None) -> PoleReport:
+                c_d, functional_equation_holds=None) -> PoleReport:
+    """Poles and residues of the reduced and topological functions.
+
+    c_d is the constant from the same sweep as the two results (zeta_all's
+    "c_d"); computing it here would walk every pair a second time.
+    """
     if reduced.d != d or topological.d != d:
         raise ValueError("results computed for a different d")
     D = d + _dprime(d)
@@ -698,8 +712,6 @@ def pole_report(d, reduced: ZetaResult, topological: ZetaResult,
     for (b, a), m_ in top.den.items():
         b_all *= b ** m_
     top_limit = lead / b_all
-    if c_d is None:
-        c_d = c_constant(d)
     return PoleReport(d, order, residue, degree, top_residue, top_limit,
                       Fraction(c_d), functional_equation_holds)
 
@@ -751,7 +763,7 @@ def load_result(cache_dir, d, kind):
             obj = json.load(fh)
         stored = (obj["d"], obj["kind"])
         if kind == "topological":
-            value = _lff_from_json(obj["value"])
+            value = LinearFactoredFunction.from_json_obj(obj["value"])
         else:
             value = FactoredRationalFunction.from_json_obj(obj["value"])
         provenance = obj.get("provenance", {})
@@ -781,12 +793,3 @@ def _revalidation_failure(d, kind, stored, value):
         # so do every overlap summand and the q -> 1 limit
         return "fails the functional equation"
     return None
-
-
-def _lff_from_json(obj):
-    num = [0] * (max((row[2] for row in obj["num"]), default=-1) + 1)
-    for cn, cd, i in obj["num"]:
-        c = Fraction(int(cn), int(cd))
-        num[i] = int(c) if c.denominator == 1 else c
-    den = {(b, a): m for m, b, a in obj["den"]}
-    return LinearFactoredFunction(num, den)

@@ -13,21 +13,18 @@ from nilzeta.arith import (
     NotDivisible,
     SingularSubstitution,
     _binomial_poly,
-    lff_add,
     lff_equal,
     lff_sum,
     poly_div_binomial,
     poly_exact_div,
     poly_mul,
     poly_mul_binomial,
-    rf_add,
     rf_equal,
     rf_invert_vars,
-    rf_mul,
     rf_normalize,
     rf_series_coeffs,
     rf_substitute,
-    rf_sum,
+    rf_sum_common,
     rf_with_denominator,
     upoly_div_linear,
     upoly_eval,
@@ -76,11 +73,11 @@ def test_exact_div_laurent_shift():
     assert poly_mul(q, b) == a
 
 
-def test_rf_add_spec_example():
+def test_rf_sum_common_spec_example():
     # 1/(1-t) + 1/(1-qt) = (2 - t - qt) / ((1-t)(1-qt))
     f = FactoredRationalFunction(LaurentPolynomial.one(QT), {(0, 1): 1})
     g = FactoredRationalFunction(LaurentPolynomial.one(QT), {(1, 1): 1})
-    h = rf_add(f, g)
+    h = rf_sum_common([f, g])
     assert h.num == lp({(0, 0): 2, (0, 1): -1, (1, 1): -1})
     assert h.den == {(0, 1): 1, (1, 1): 1}
 
@@ -154,9 +151,16 @@ def test_rf_series_coeffs_heisenberg():
 
 def test_rf_sum_tree():
     one = FactoredRationalFunction.one(QT)
-    s = rf_sum([one] * 5)
+    s = rf_sum_common([one] * 5)
     assert rf_equal(s, FactoredRationalFunction(
         LaurentPolynomial.constant(QT, 5)))
+    # zero terms still carry their arena
+    zero = FactoredRationalFunction.zero(QT)
+    assert rf_sum_common([zero, zero]).is_zero()
+    assert rf_sum_common([zero, zero]).vars == QT
+    assert rf_sum_common([], vars=QT).vars == QT
+    with pytest.raises(ValueError):
+        rf_sum_common([])
 
 
 def test_json_roundtrip():
@@ -166,6 +170,9 @@ def test_json_roundtrip():
     g = FactoredRationalFunction.from_json_obj(obj)
     assert rf_equal(f, g)
     assert g.num == f.num and g.den == f.den
+    h = LinearFactoredFunction([Fraction(-3, 2), 0, 2], {(1, 1): 2, (2, 3): 1})
+    k = LinearFactoredFunction.from_json_obj(h.to_json_obj())
+    assert k.num == h.num and k.den == h.den
 
 
 small_poly = st.dictionaries(
@@ -196,11 +203,11 @@ den_strategy = st.dictionaries(
 
 @given(small_poly, den_strategy, small_poly, den_strategy)
 @settings(max_examples=30, deadline=None)
-def test_rf_add_commutes_and_evaluates(n1, d1, n2, d2):
+def test_rf_sum_common_commutes_and_evaluates(n1, d1, n2, d2):
     f = FactoredRationalFunction(n1, d1)
     g = FactoredRationalFunction(n2, d2)
-    s1 = rf_add(f, g)
-    s2 = rf_add(g, f)
+    s1 = rf_sum_common([f, g])
+    s2 = rf_sum_common([g, f])
     assert rf_equal(s1, s2)
     # numeric check at a point where no factor vanishes
     q0, t0 = Fraction(3), Fraction(1, 5)
@@ -234,11 +241,11 @@ def test_upoly_div_linear():
         upoly_div_linear([1, 1], 2, 3)
 
 
-def test_lff_add_and_equal():
+def test_lff_sum_and_equal():
     # 1/(s-1) + 1/(s-2) = (2s-3)/((s-1)(s-2))
     f = LinearFactoredFunction([1], {(1, 1): 1})
     g = LinearFactoredFunction([1], {(1, 2): 1})
-    h = lff_add(f, g)
+    h = lff_sum([f, g])
     assert lff_equal(h, LinearFactoredFunction([-3, 2], {(1, 1): 1, (1, 2): 1}))
     x = Fraction(7, 2)
     assert (upoly_eval(h.num, x) / upoly_eval(h.den_poly(), x)
@@ -250,6 +257,12 @@ def test_lff_sum_cancellation():
     f = LinearFactoredFunction([1], {(1, 1): 1})
     g = LinearFactoredFunction([-1], {(1, 1): 1})
     assert lff_sum([f, g]).is_zero()
+    assert lff_sum([]).is_zero()
+    # equal denominators add first; the sum is normalized once
+    # 2/(s-1) + (4-2s)/((s-1)(2s-3)) = 2/(2s-3)
+    h = lff_sum([f, f, LinearFactoredFunction([4, -2], {(1, 1): 1,
+                                                        (2, 3): 1})])
+    assert h.num == [2] and h.den == {(2, 3): 1}
 
 
 def test_lff_degree():

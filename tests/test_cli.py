@@ -27,6 +27,7 @@ def test_usage_errors(capsys):
     assert run(capsys, "compute", "--d", "2", "--jobs", "2")[0] == 64
     assert run(capsys, "verify", "--d", "2", "--output", "x")[0] == 64
     assert run(capsys, "verify", "--d", "2", "--format", "json")[0] == 64
+    assert run(capsys, "report", "--d", "2", "--format", "latex")[0] == 64
     assert run(capsys, "nonsense")[0] == 64
     assert run(capsys)[0] == 64
 
@@ -99,6 +100,20 @@ def test_oracle_command(capsys):
     assert "19" in out
     code, _, err = run(capsys, "oracle", "--d", "4", "--p", "2", "--n", "9")
     assert code == 3
+
+
+@pytest.mark.parametrize("suite", ["oracle", "all"])
+def test_verify_oracle_guard_runs_before_the_sweep(capsys, monkeypatch,
+                                                   suite):
+    def no_sweep(d):
+        raise AssertionError("enumerate_Wd called")
+
+    monkeypatch.setattr(zeta, "enumerate_Wd", no_sweep)
+    code, out, err = run(capsys, "verify", "--d", "4", "--suite", suite,
+                         "--order", "9")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("oracle capacity exceeded:")
 
 
 def test_verify_suites(tmp_path, capsys):

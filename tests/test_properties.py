@@ -11,7 +11,7 @@ from nilzeta.arith import (
     rf_equal,
     rf_invert_vars,
     rf_substitute,
-    rf_sum,
+    rf_sum_common,
 )
 from nilzeta.combinat import (
     coxeter_length,
@@ -171,11 +171,11 @@ def test_hij_reciprocity():
         full_J = frozenset(range(1, dp))
         for K in subsets_I:
             for L in subsets_J:
-                lhs = rf_sum(
+                lhs = rf_sum_common(
                     [rf_invert_vars(h[(I, J)])
                      for I in subsets_I if K <= I
                      for J in subsets_J if L <= J], vars=vars)
-                rhs = rf_sum(
+                rhs = rf_sum_common(
                     [type(f)(f.num.shift(x_shift), dict(f.den))
                      for I in subsets_I if (full_I - K) <= I
                      for J in subsets_J if (full_J - L) <= J

@@ -9,9 +9,10 @@ from nilzeta.arith import (
     lff_equal,
     rf_equal,
     rf_series_coeffs,
-    rf_sum,
+    rf_sum_common,
 )
 from nilzeta.combinat import (
+    alpha_count,
     enumerate_script_S,
     mu_of_lambda,
     omega_of_pair,
@@ -20,6 +21,7 @@ from nilzeta.combinat import (
     partitions_upto,
     trivial_dyck_word,
 )
+from nilzeta.cones import decompose_region_by_face
 from nilzeta.golden import (
     C_CONSTANTS,
     golden_padic,
@@ -236,7 +238,8 @@ def test_functional_equation_no_overlap_and_overlaps():
 def test_overlap_partition(z2, z3):
     for d, z in ((2, z2), (3, z3)):
         words = sorted({wp.context.dyck for wp in enumerate_Wd(d)})
-        total = rf_sum([zeta_overlap(d, w).value for w in words], vars=QT)
+        total = rf_sum_common([zeta_overlap(d, w).value for w in words],
+                              vars=QT)
         assert rf_equal(total, z.value)
 
 
@@ -253,7 +256,9 @@ def test_padic_at_zero(z2, z3):
 
 def test_pole_reports():
     for d in (2, 3):
-        rep = pole_report(d, zeta_reduced(d), zeta_topological(d))
+        sweep = zeta_all(d, ("reduced", "topological", "c_d"))
+        rep = pole_report(d, sweep["reduced"], sweep["topological"],
+                          sweep["c_d"])
         D = big_d(d)
         assert rep.reduced_order_at_1 == D
         assert rep.reduced_residue_at_1 == (-1) ** D * C_CONSTANTS[d]
@@ -419,6 +424,42 @@ def test_no_piece_with_zero_q_exponent_off_trivial_word():
                     b = sum(x * e[1] for x, e in zip(ray, exps))
                     assert b > 0
                     assert a > 0
+
+
+def test_shuffles_ending_in_the_descending_run_at_d4():
+    """The ten W_4 shuffles ending 6,5,4,3,2,1 give one coordinate a
+    negative q-exponent.  Their pairs still match the partition-pair count
+    at q = 2 up to t^16, and the q-exponent map totals >= 0 on every ray
+    and box point of their regions."""
+    d, dp, N, p = 4, 6, 16, 2
+    counts = {}
+    for lam in partitions_upto(d, N):
+        lam = (lam + (0,) * d)[:d]
+        mu = mu_of_lambda(lam)
+        for nu in partitions_upto(dp, N - sum(lam)):
+            nu = (nu + (0,) * dp)[:dp]
+            if any(a > b for a, b in zip(nu, mu)):
+                continue
+            I, sigma = omega_of_pair(d, lam, nu)
+            if sigma[-6:] != (6, 5, 4, 3, 2, 1):
+                continue
+            weight = (alpha_count((lam[0],) * d, lam).evaluate((p,))
+                      * alpha_count(mu, nu).evaluate((p,))
+                      * p ** (d * sum(nu)))
+            series = counts.setdefault((I, sigma), [0] * (N + 1))
+            series[sum(lam) + sum(nu)] += weight
+    assert len(counts) == 10
+    for (I, sigma), expected in counts.items():
+        wp = WPair(d, I, sigma)
+        value = zeta_padic(d, pairs=[wp]).value
+        assert rf_series_coeffs(value, p, N) == expected, (I, sigma)
+        q_exps = [a for a, _ in wp.context.qt_exponents()]
+        assert min(q_exps) < 0
+        monoid, A, C = region_of_wpair(wp)
+        for _, cells in decompose_region_by_face(monoid, A, C):
+            for piece in cells:
+                for x in list(piece.rays) + list(piece.box()):
+                    assert sum(a * b for a, b in zip(x, q_exps)) >= 0
 
 
 def test_no_ray_supported_only_on_slack():
