@@ -698,8 +698,9 @@ def lff_sum(terms):
                 lcm[k] = m
     total = []
     for sig, num in groups.items():
-        lift = _uncancelled(lcm, dict(sig))[0]
-        total = upoly_add(total, _times_linear(num, lift))
+        den = dict(sig)
+        total = upoly_add(total, _times_linear(
+            num, {k: m - den.get(k, 0) for k, m in lcm.items()}))
     return LinearFactoredFunction(total, lcm).normalize()
 
 

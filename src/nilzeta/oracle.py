@@ -16,6 +16,10 @@ from itertools import product
 from .combinat import alpha_count, index_b, mu_of_lambda, partitions_upto
 
 
+# the largest number of Hermite normal forms one enumeration may walk
+GUARD = 10 ** 7
+
+
 class CapacityExceeded(Exception):
     """The requested brute-force enumeration is larger than the guard."""
 
@@ -110,7 +114,7 @@ def _in_lattice(vec, cols, dvals):
     return True
 
 
-def count_subalgebras(d, p, index_exp, guard=10 ** 7):
+def count_subalgebras(d, p, index_exp, guard=GUARD):
     """Number of subalgebras of index p^index_exp, by direct enumeration."""
     sc = StructureConstants(d)
     n = sc.rank
@@ -131,17 +135,17 @@ def count_subalgebras(d, p, index_exp, guard=10 ** 7):
     return total
 
 
-def subalgebra_series(d, p, order, guard=10 ** 7):
+def subalgebra_series(d, p, order, guard=GUARD):
     """Coefficients [c_0..c_order] of the subalgebra zeta function at p."""
     return [count_subalgebras(d, p, k, guard) for k in range(order + 1)]
 
 
-def check_series_capacity(d, p, order, guard=10 ** 7):
-    """Raise CapacityExceeded if subalgebra_series(d, p, order, guard)
-    would, without enumerating anything."""
+def check_series_capacity(d, p, order):
+    """Raise CapacityExceeded if subalgebra_series(d, p, order) would,
+    without enumerating anything."""
     n = d + _dprime(d)
     for k in range(order + 1):
-        _check_capacity(n, k, p, guard)
+        _check_capacity(n, k, p, GUARD)
 
 
 def _eval_at_p(poly, p):

@@ -7,8 +7,10 @@ import pytest
 
 from nilzeta.arith import rf_series_coeffs
 from nilzeta.oracle import (
+    GUARD,
     CapacityExceeded,
     StructureConstants,
+    check_series_capacity,
     compare_routes,
     count_subalgebras,
     gss_partial,
@@ -42,6 +44,18 @@ def test_counts_monotone_sane():
 def test_capacity_guard():
     with pytest.raises(CapacityExceeded):
         count_subalgebras(4, 2, 8, guard=10)
+
+
+def test_series_guard_is_the_enumeration_guard():
+    # check_series_capacity stops at the first index the enumeration refuses
+    d, p, n = 4, 2, 10
+    with pytest.raises(CapacityExceeded) as early:
+        check_series_capacity(d, p, 9)
+    k = next(k for k in range(10) if hnf_count(n, k, p) > GUARD)
+    check_series_capacity(d, p, k - 1)
+    with pytest.raises(CapacityExceeded) as late:
+        count_subalgebras(d, p, k)
+    assert str(early.value) == str(late.value)
 
 
 def test_hnf_count_agrees_with_enumeration():
