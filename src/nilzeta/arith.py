@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 # weights of the fibre test in poly_div_binomial; any value is sound
 _FIBRE_BASE = 1009
@@ -67,10 +67,6 @@ class LaurentPolynomial:
     @classmethod
     def one(cls, vars):
         return cls.constant(vars, 1)
-
-    @classmethod
-    def monomial(cls, vars, e, c=1):
-        return cls(vars, {tuple(e): c})
 
     def is_zero(self):
         return not self.terms
@@ -172,7 +168,7 @@ def poly_mul(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
     terms = {}
     for e1, c1 in a.terms.items():
         for e2, c2 in b.terms.items():
-            key = tuple(x + y for x, y in zip(e1, e2))
+            key = tuple(map(add, e1, e2))
             s = terms.get(key, 0) + c1 * c2
             if s:
                 terms[key] = s
@@ -239,7 +235,7 @@ def poly_mul_binomial(a: LaurentPolynomial, e, m=1) -> LaurentPolynomial:
     for _ in range(m):
         out = dict(terms)
         for x, c in terms.items():
-            key = tuple(i + j for i, j in zip(x, e))
+            key = tuple(map(add, x, e))
             s = out.get(key, 0) - c
             if s:
                 out[key] = s
@@ -383,7 +379,12 @@ class FactoredRationalFunction:
 
 
 def rf_normalize(f: FactoredRationalFunction) -> FactoredRationalFunction:
-    """Cancel denominator factors that exactly divide the numerator."""
+    """Cancel denominator factors that exactly divide the numerator.
+
+    One pass over the factors leaves none that divides the numerator: a
+    factor that divides a quotient num / (1 - Z^g) divides num as well, so
+    a factor that failed to divide early in the pass cannot divide later.
+    """
     if f.num.is_zero():
         return FactoredRationalFunction.zero(f.vars)
     num = f.num
@@ -403,12 +404,17 @@ def rf_normalize(f: FactoredRationalFunction) -> FactoredRationalFunction:
 def rf_sum_common(terms, vars=None):
     """Sum over the factor-wise least common denominator, normalizing once.
 
+    Terms arrive in lowest terms (no denominator factor divides the
+    numerator), so a sum of one term is that term, returned as it is; a
+    longer sum is normalized once, and so leaves in lowest terms too.
     Terms with identical denominators add numerator-to-numerator first, so
     many terms drawn from a shared denominator-factor pool, as in the piece
     sums of one cone region, cost one lift per distinct denominator.  The
     arena is the first term's; an empty sum needs it given as vars.
     """
     terms = list(terms)
+    if len(terms) == 1:
+        return terms[0]
     if terms:
         vars = terms[0].vars
     elif vars is None:
@@ -433,7 +439,9 @@ def rf_sum_common(terms, vars=None):
         num = LaurentPolynomial(vars, {e: c for e, c in num_terms.items()
                                        if c})
         for e, m in lcm.items():
-            num = poly_mul_binomial(num, e, m - den.get(e, 0))
+            m -= den.get(e, 0)
+            if m:
+                num = poly_mul_binomial(num, e, m)
         for e, c in num.terms.items():
             acc[e] = acc.get(e, 0) + c
     return rf_normalize(FactoredRationalFunction(

@@ -450,9 +450,14 @@ class DiophantineMonoid:
                 s = self._ray_masks[r]
                 if s & c == s:
                     closure |= {f | s for f in closure}
-            # face_lattice order: by size, then by the sorted support
+            # face_lattice order: by size, then by the sorted support.  Of
+            # two supports of one size, the one holding the least element
+            # where they differ sorts first: the higher of the two masks
+            # read with their bits reversed
+            width = f"0{self.num_vars}b"
             faces = self._within[c] = sorted(
-                closure, key=lambda f: (f.bit_count(), _bits(f)))
+                closure, key=lambda f: (f.bit_count(),
+                                        -int(format(f, width)[::-1], 2)))
         return faces
 
     def _face_rays(self, b):

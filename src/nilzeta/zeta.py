@@ -370,6 +370,18 @@ def _region_term(face_groups, cols, vars, u_poly):
     faces: cells of one face draw denominators from that face's small ray
     pool, so the inner sums are cheap and only one lift per face reaches
     the region-wide common denominator.
+
+    The term comes out in lowest terms, so rf_sum_common may add it to
+    others, or return it alone, without normalizing it again:
+    - a piece's numerator has only positive coefficients, so its sum
+      along a line x + Z e that meets it is positive, and no 1 - Z^e
+      divides it;
+    - a sum of several pieces or faces leaves rf_normalize, whose one
+      pass leaves no denominator factor dividing the numerator;
+    - the Gaussian weight is a nonzero polynomial in q alone (a constant
+      in the t arena), and every factor of 1 - q^a t^b with b > 0 has
+      positive degree in t, so the weight shares no factor with the
+      denominator.
     """
     cols = cols[-len(vars):]
     subs = [rf_sum_common([_piece(p, cols, vars) for p in cells], vars=vars)
@@ -468,12 +480,12 @@ def zeta_all(d, kinds=SWEEP_KINDS, pairs=None, progress=None):
                                             for (b, _), m in den.items()))
     values = {}
     if "padic" in kinds:
-        values["padic"] = rf_normalize(rf_sum_common(qt_terms, vars=QT))
+        values["padic"] = rf_sum_common(qt_terms, vars=QT)
     if "reduced" in kinds:
-        values["reduced"] = rf_normalize(rf_sum_common(t_terms, vars=T))
+        values["reduced"] = rf_sum_common(t_terms, vars=T)
     if "topological" in kinds:
         values["topological"] = lff_sum(s_terms)
-    summands = {w: rf_normalize(rf_sum_common(terms, vars=QT))
+    summands = {w: rf_sum_common(terms, vars=QT)
                 for w, (terms, _) in sorted(words.items())}
     seconds = round(time.time() - start, 3)
     out = {}
@@ -576,7 +588,7 @@ def zeta_no_overlap(d, route="via_H", progress=None):
         terms.append(_region_term(groups, cols, QT, u_poly))
         if progress:
             progress(k + 1, len(combos))
-    value = rf_normalize(rf_sum_common(terms, vars=QT))
+    value = rf_sum_common(terms, vars=QT)
     return ZetaResult(d, "no_overlap", value, {
         "pairs": len(combos), "pieces": npieces,
         "seconds": round(time.time() - start, 3)})
@@ -649,7 +661,6 @@ class PoleReport:
     top_residue_at_0: Fraction
     top_limit_at_infinity: Fraction
     c_d: Fraction
-    functional_equation_holds: bool = None
 
     def consistent(self) -> bool:
         D = self.d + _dprime(self.d)
@@ -674,7 +685,7 @@ def _t_series_at_one(num: LaurentPolynomial):
 
 
 def pole_report(d, reduced: ZetaResult, topological: ZetaResult,
-                c_d, functional_equation_holds=None) -> PoleReport:
+                c_d) -> PoleReport:
     """Poles and residues of the reduced and topological functions.
 
     c_d is the constant from the same sweep as the two results (zeta_all's
@@ -713,7 +724,7 @@ def pole_report(d, reduced: ZetaResult, topological: ZetaResult,
         b_all *= b ** m_
     top_limit = lead / b_all
     return PoleReport(d, order, residue, degree, top_residue, top_limit,
-                      Fraction(c_d), functional_equation_holds)
+                      Fraction(c_d))
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,12 @@ def test_rf_series_coeffs_heisenberg():
     assert coeffs[2] == 19
 
 
+def test_rf_sum_common_of_one_term_is_that_term():
+    f = FactoredRationalFunction(lp({(0, 0): 1, (1, 1): 2}), {(0, 1): 1})
+    assert rf_sum_common([f]) is f
+    assert rf_sum_common([f], vars=QT) is f
+
+
 def test_rf_sum_tree():
     one = FactoredRationalFunction.one(QT)
     s = rf_sum_common([one] * 5)

@@ -390,6 +390,13 @@ def test_restricted_faces_random_systems(data):
                              if A <= C])
 
 
+def test_face_lattice_order_on_a_wide_monoid():
+    # 12 coordinates, past the random systems above; d = 4 monoids have
+    # up to 21
+    monoid = DiophantineMonoid(12, [(1,) * 6 + (-1,) * 6])
+    assert monoid.face_lattice() == reference_lattice(monoid)
+
+
 def test_restricted_faces_d3_regions():
     regions = {}
     for wp in enumerate_Wd(3):
