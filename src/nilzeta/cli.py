@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from math import isqrt
 
 from . import zeta as zmod
 from .arith import FactoredRationalFunction, rf_equal
@@ -86,12 +87,6 @@ def render(result, fmt):
 def cmd_compute(args):
     cache_dir = default_cache_dir(args.cache_dir)
     kind = args.kind
-    if kind == "overlap" and not args.word:
-        print("--word is required with --kind overlap", file=sys.stderr)
-        return EXIT_USAGE
-    if kind != "overlap" and args.word:
-        print("--word only makes sense with --kind overlap", file=sys.stderr)
-        return EXIT_USAGE
     cache_kind = kind if kind != "overlap" else f"overlap:{args.word}"
     cache_kind = cache_kind.replace("no-overlap", "no_overlap")
     result = zmod.load_result(cache_dir, args.d, cache_kind)
@@ -108,7 +103,12 @@ def cmd_compute(args):
             result = zmod.zeta_reduced(args.d, progress=cb)
         else:
             result = zmod.zeta_topological(args.d, progress=cb)
-        zmod.store_result(cache_dir, result)
+        try:
+            zmod.store_result(cache_dir, result)
+        except OSError as exc:
+            path = zmod.cache_path(cache_dir, result.d, result.kind)
+            print(f"cache: cannot write {path}: {exc}".splitlines()[0],
+                  file=sys.stderr)
     text = render(result, args.format)
     if args.output:
         with open(args.output, "w") as fh:
@@ -282,14 +282,38 @@ def build_parser():
     return p
 
 
+def _usage_problem(args):
+    """Why the parsed arguments name no computation, or None."""
+    if args.d < 2:
+        return "--d must be at least 2"
+    p = getattr(args, "p", None)
+    if p is not None and not (p >= 2 and all(p % k for k in
+                                             range(2, isqrt(p) + 1))):
+        return f"--p must be a prime, not {p}"
+    for flag in ("n", "order"):
+        if getattr(args, flag, 0) < 0:
+            return f"--{flag} must be at least 0"
+    if getattr(args, "kind", None) == "overlap":
+        if not args.word:
+            return "--word is required with --kind overlap"
+        try:
+            zmod.dyck_word(args.d, args.word)
+        except ValueError as exc:
+            return f"--word: {exc}"
+    elif getattr(args, "word", None):
+        return "--word only makes sense with --kind overlap"
+    return None
+
+
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if args.d < 2:
-        print("--d must be at least 2", file=sys.stderr)
+    problem = _usage_problem(args)
+    if problem:
+        print(problem, file=sys.stderr)
         return EXIT_USAGE
     return args.func(args)
 

@@ -4,9 +4,11 @@ A DiophantineMonoid is the set of nonnegative integer solutions of a
 homogeneous linear system A x = 0.  Its real span is a pointed rational cone
 inside the nonnegative orthant; this module computes its extreme rays
 (double description), its face lattice (unions of ray supports), pulling
-triangulations of its faces, and the multivariate generating function of any
-"region": the solutions whose support contains a prescribed set A and is
-contained in a prescribed set C.
+triangulations of its faces, and the generating function of any "region"
+(the solutions whose support contains a prescribed set A and is contained in
+a prescribed set C), pushed through a monomial map: summed piece by piece,
+per face first and then across faces.  The identity map gives the
+multivariate generating function itself.
 
 All arithmetic is exact, over int and Fraction.
 """
@@ -89,28 +91,21 @@ def _support_mask(vec):
 
 
 def smith_normal_form(M):
-    """Return (diag, U, V) with U M V in Smith normal form.
+    """Return (diag, V): the nonzero invariant factors of M, and a
+    unimodular V such that U M V is in Smith normal form for some unimodular
+    U.
 
-    M is a list of rows of an m x k integer matrix; U is m x m, V is k x k,
-    both unimodular; diag lists the nonzero invariant factors.
+    M is a list of rows of an m x k integer matrix; V is k x k.  Column j of
+    M V is diag[j] times a column of U^-1, and zero past the rank.  U itself
+    is not tracked: the box points read only diag and V.
     """
-    return _smith(M, True)
-
-
-def _smith(M, with_left):
-    """smith_normal_form, with U None unless with_left: the box-point
-    computations read only diag and V, and U costs half the time."""
     m = len(M)
     k = len(M[0]) if m else 0
     A = [list(r) for r in M]
-    U = [[int(i == j) for j in range(m)] for i in range(m)] \
-        if with_left else None
     V = [[int(i == j) for j in range(k)] for i in range(k)]
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
-        if U:
-            U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for r in A:
@@ -120,8 +115,6 @@ def _smith(M, with_left):
 
     def add_row(i, j, c):  # row i += c * row j
         A[i] = [a + c * b for a, b in zip(A[i], A[j])]
-        if U:
-            U[i] = [a + c * b for a, b in zip(U[i], U[j])]
 
     def add_col(i, j, c):  # col i += c * col j
         for r in A:
@@ -166,8 +159,6 @@ def _smith(M, with_left):
                     break
             if A[t][t] < 0:
                 A[t] = [-x for x in A[t]]
-                if U:
-                    U[t] = [-x for x in U[t]]
             t += 1
         return t
 
@@ -183,7 +174,7 @@ def _smith(M, with_left):
         add_col(bad, bad + 1, 1)
         t = diagonalize()
     diag = [A[i][i] for i in range(t) if A[i][i]]
-    return diag, U, V
+    return diag, V
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +273,7 @@ def _ray_smith(rays):
     neither; they are left out.
     """
     M = [list(row) for row in zip(*rays) if any(row)]
-    diag, _, V = _smith(M, False)
+    diag, V = smith_normal_form(M)
     if len(diag) != len(rays):
         raise ValueError("rays are not linearly independent")
     return diag, V
@@ -519,50 +510,65 @@ class DiophantineMonoid:
         return out
 
 
-def decompose_region(monoid: DiophantineMonoid, A, C):
-    """Open simplicial pieces whose disjoint union is the region.
+def decompose_region_by_face(monoid: DiophantineMonoid, A, C):
+    """Open simplicial pieces whose disjoint union is the region, grouped
+    by face.
 
     The region collects the monoid elements x with x_i > 0 for i in A and
     x_i = 0 outside C.  Such x lie in the relative interior of the face
     supp(x), so the region is the disjoint union of the relints of the faces
-    B with A <= B <= C.
-    """
-    pieces = []
-    for B, cells in decompose_region_by_face(monoid, A, C):
-        pieces.extend(cells)
-    return pieces
-
-
-def decompose_region_by_face(monoid: DiophantineMonoid, A, C):
-    """Like decompose_region, but keeps each face's cells together.
-
-    Summing a face's cells first is much cheaper than summing all pieces
-    at once, because cells of one face draw their denominator factors from
-    that face's small ray pool.  Only the faces inside C are enumerated.
+    B with A <= B <= C; each face comes with the cells that tile its relint.
+    Only the faces inside C are enumerated.
     """
     a = _mask(A)
     return [(frozenset(_bits(b)), monoid._cells_of(b))
             for b in monoid._faces_within(_mask(C)) if b & a == a]
 
 
-def genfun_piece(piece: SimplicialPiece, vars):
-    terms = {}
-    for b in piece.box():
-        terms[b] = terms.get(b, 0) + 1
-    num = LaurentPolynomial(vars, terms) if piece.rays else \
-        LaurentPolynomial.one(vars)
+def genfun_piece(piece: SimplicialPiece, cols, vars):
+    """The piece's generating function pushed through a monomial map.
+
+    cols holds, per variable of the arena vars, each coordinate's exponent
+    of that variable: x maps to the monomial with exponents col . x.  The
+    identity map gives Sum over the piece of Z^x.
+    """
+    def image(x):
+        return tuple([sum(map(mul, x, col)) for col in cols])
+
+    num = {}
+    for beta in piece.box():
+        key = image(beta)
+        num[key] = num.get(key, 0) + 1
     den = {}
-    for r in piece.rays:
-        den[r] = den.get(r, 0) + 1
-    return FactoredRationalFunction(num, den)
+    for ray in piece.rays:
+        key = image(ray)
+        den[key] = den.get(key, 0) + 1
+    return FactoredRationalFunction(LaurentPolynomial(vars, num), den)
+
+
+def genfun_faces(face_groups, cols, vars):
+    """Sum of genfun_piece over face-grouped pieces, per face first and then
+    across faces.
+
+    Cells of one face draw their denominators from that face's small ray
+    pool, so the inner sums are cheap and only one lift per face reaches the
+    region-wide common denominator.
+    """
+    return rf_sum_common(
+        [rf_sum_common([genfun_piece(p, cols, vars) for p in cells],
+                       vars=vars)
+         for _, cells in face_groups], vars=vars)
 
 
 def genfun_region(monoid: DiophantineMonoid, A, C, vars=None):
-    """Multivariate generating function Sum over region of Z^x."""
+    """Multivariate generating function Sum over region of Z^x: genfun_faces
+    under the identity map."""
+    n = monoid.num_vars
     if vars is None:
-        vars = tuple(f"z{i+1}" for i in range(monoid.num_vars))
-    pieces = decompose_region(monoid, A, C)
-    return rf_sum_common([genfun_piece(p, vars) for p in pieces], vars=vars)
+        vars = tuple(f"z{i+1}" for i in range(n))
+    identity = [[int(i == j) for i in range(n)] for j in range(n)]
+    return genfun_faces(decompose_region_by_face(monoid, A, C), identity,
+                        vars)
 
 
 def region_dump(monoid: DiophantineMonoid, A, C):
@@ -572,7 +578,8 @@ def region_dump(monoid: DiophantineMonoid, A, C):
     output is suitable as a golden-file fixture.
     """
     lines = []
-    for piece in decompose_region(monoid, A, C):
-        gens = ",".join(str(tuple(r)) for r in piece.rays)
-        lines.append(f"{piece.dim}; {gens}; {piece.count_box()}")
+    for _, cells in decompose_region_by_face(monoid, A, C):
+        for piece in cells:
+            gens = ",".join(str(tuple(r)) for r in piece.rays)
+            lines.append(f"{piece.dim}; {gens}; {piece.count_box()}")
     return "\n".join(lines)

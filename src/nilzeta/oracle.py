@@ -198,13 +198,6 @@ class RouteReport:
                 return n
         return None
 
-    def to_json_obj(self):
-        return {
-            "d": self.d, "p": self.p, "order": self.order,
-            "series": self.series, "gss": self.gss, "brute": self.brute,
-            "ok": self.ok, "first_mismatch": self.first_mismatch,
-        }
-
     def text(self):
         lines = [f"routes for d={self.d}, p={self.p}:",
                  f"{'n':>3} {'series':>14} {'gss':>14} {'brute':>14}"]

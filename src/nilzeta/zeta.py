@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, factorial, prod
 from operator import mul
 
@@ -49,7 +49,12 @@ from .combinat import (
     lm_sigma,
     trivial_dyck_word,
 )
-from .cones import DiophantineMonoid, decompose_region_by_face, feasible
+from .cones import (
+    DiophantineMonoid,
+    decompose_region_by_face,
+    feasible,
+    genfun_faces,
+)
 
 QT = ("q", "t")
 T = ("t",)
@@ -129,14 +134,13 @@ class SigmaContext:
         Coordinate i in [d] maps to q^(a) t^i, coordinate d+j to q^(a) t^j,
         slack coordinates to 1.
 
-        Only b > 0 is required of a coordinate.  Its q-exponent a may be
-        negative (in the ten W_4 shuffles ending 6,5,4,3,2,1 the first
-        centre coordinate gets -1): the map is linear, so only its totals
-        on a region's rays and box points reach the generating function,
-        and those are what must be sound.  The denominator signs are
-        checked where the totals are formed: _piece asserts a positive
-        t-exponent on every ray, and FactoredRationalFunction rejects a
-        factor exponent of mixed sign.
+        A coordinate's q-exponent a may be negative (in the ten W_4
+        shuffles ending 6,5,4,3,2,1 the first centre coordinate gets -1):
+        the map is linear, so only its totals on a region's rays and box
+        points reach the generating function.  Those are checked as the map
+        is built: every extreme ray of the monoid, so every piece ray, gets
+        a positive t total (_assert_t_positive), and FactoredRationalFunction
+        rejects a factor exponent of mixed sign.
         """
         if self._qt_exponents is None:
             d, dp = self.d, self.dp
@@ -156,11 +160,23 @@ class SigmaContext:
                     j = c - d + 1
                     a += j * d
                     b = j
-                assert b > 0
                 out.append((a, b))
             out.extend([(0, 0)] * self.r)
+            _assert_t_positive(self.monoid, out)
             self._qt_exponents = out
         return self._qt_exponents
+
+
+def _assert_t_positive(monoid, exps):
+    """Assert that every extreme ray of the monoid has a positive t total.
+
+    It cannot fail: every coordinate but the slack ones has b > 0, and each
+    slack column has its single -1 in a row of its own, so no ray lies on
+    slack coordinates alone.
+    """
+    t_col = [b for _, b in exps]
+    assert all(sum(map(mul, ray, t_col)) > 0 for ray in monoid.rays()), \
+        "denominator factor without t-dependence"
 
 
 _sigma_cache = {}
@@ -299,62 +315,19 @@ def _gaussian_product(wp: WPair) -> LaurentPolynomial:
     return poly_mul(gaussian_multinomial(ctx.d, wp.I), ctx.binom_chain())
 
 
-def gmc(wp: WPair) -> LaurentPolynomial:
-    """Product of Gaussian binomials of the pair, as a polynomial in q^-1.
-
-    Returned in the ("q",) arena with nonpositive exponents.
-    """
-    return _gaussian_product(wp).substitute_monomials([(-1,)], ("q",))
-
-
-def mc(wp: WPair) -> int:
-    """The Gaussian product of the pair at q = 1."""
-    return sum(_gaussian_product(wp).terms.values())
-
-
 # ---------------------------------------------------------------------------
 # Numerical data maps.
 
 
-def numerical_map(d, sigma=None, kind="sigma"):
-    """Per-coordinate (q-exponent, t-exponent) pairs of a substitution map.
-
-    kind "sigma" requires sigma and covers that shuffle's m coordinates;
-    "no_overlap" covers the d + d' + 1 coordinates of the no-overlap
-    monoid.
-    """
+def no_overlap_exponents(d):
+    """Per-coordinate (q-exponent, t-exponent) of the numerical map of the
+    no-overlap monoid's d + d' + 1 coordinates (a shuffle's map is its
+    SigmaContext.qt_exponents)."""
     dp = _dprime(d)
-    if kind == "sigma":
-        return sigma_context(d, sigma).qt_exponents()
-    if kind == "no_overlap":
-        out = [(i * (d - i), i) for i in range(1, d + 1)]
-        out += [(d * j + j * (dp - j), j) for j in range(1, dp + 1)]
-        out.append((0, 0))
-        return out
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def _piece(piece, cols, vars):
-    """Substitute a piece's generating function into the arena vars.
-
-    cols holds, per variable of the arena, each coordinate's exponent of
-    that variable; the t column comes last.
-    """
-    def image(x):
-        return tuple([sum(map(mul, x, col)) for col in cols])
-
-    num = {}
-    for beta in piece.box():
-        key = image(beta)
-        num[key] = num.get(key, 0) + 1
-    if not piece.rays:
-        num = {(0,) * len(vars): 1}
-    den = {}
-    for ray in piece.rays:
-        key = image(ray)
-        assert key[-1] > 0, "denominator factor without t-dependence"
-        den[key] = den.get(key, 0) + 1
-    return FactoredRationalFunction(LaurentPolynomial(vars, num), den)
+    out = [(i * (d - i), i) for i in range(1, d + 1)]
+    out += [(d * j + j * (dp - j), j) for j in range(1, dp + 1)]
+    out.append((0, 0))
+    return out
 
 
 # u = q^-1 in the (q, t) arena; the q -> 1 limit sends it to 1
@@ -366,10 +339,7 @@ def _region_term(face_groups, cols, vars, u_poly):
     q -> 1 limit), times the Gaussian product u_poly.
 
     cols is the (q, t) exponent map as its q and t columns; the t arena
-    drops the q column.  The pieces are summed per face first, then across
-    faces: cells of one face draw denominators from that face's small ray
-    pool, so the inner sums are cheap and only one lift per face reaches
-    the region-wide common denominator.
+    drops the q column.  The pieces are summed by genfun_faces.
 
     The term comes out in lowest terms, so rf_sum_common may add it to
     others, or return it alone, without normalizing it again:
@@ -383,10 +353,7 @@ def _region_term(face_groups, cols, vars, u_poly):
       positive degree in t, so the weight shares no factor with the
       denominator.
     """
-    cols = cols[-len(vars):]
-    subs = [rf_sum_common([_piece(p, cols, vars) for p in cells], vars=vars)
-            for _, cells in face_groups]
-    f = rf_sum_common(subs, vars=vars)
+    f = genfun_faces(face_groups, cols[-len(vars):], vars)
     weight = u_poly.substitute_monomials(_U_IMAGE[vars], vars)
     return FactoredRationalFunction(poly_mul(f.num, weight), f.den)
 
@@ -431,10 +398,12 @@ def zeta_all(d, kinds=SWEEP_KINDS, pairs=None, progress=None):
     dict from each Dyck word to the ZetaResult of its summand (the sum of
     the (q, t) terms of its pairs, as zeta_overlap returns it), "c_d" to the
     constant as a Fraction.  All of them read the same per-pair cone
-    decompositions, so asking for several costs a single walk.  Only the
-    top-dimensional (dimension D = d + d') pieces reach the topological
-    function and c_d: each adds its lattice-box count over the product of
-    the linear forms b*s - a of its rays (c_d: over the product of the b).
+    decompositions, so asking for several costs a single walk.  The (q, t)
+    terms are collected once, by Dyck word: the p-adic function is the sum
+    of the overlap summands.  Only the top-dimensional (dimension
+    D = d + d') pieces reach the topological function and c_d: each adds
+    its lattice-box count over the product of the linear forms b*s - a of
+    its rays (c_d: over the product of the b).
     """
     unknown = set(kinds) - set(SWEEP_KINDS)
     if unknown:
@@ -443,7 +412,7 @@ def zeta_all(d, kinds=SWEEP_KINDS, pairs=None, progress=None):
     D = d + _dprime(d)
     if pairs is None:
         pairs = enumerate_Wd(d)
-    qt_terms, t_terms, s_terms = [], [], []
+    t_terms, s_terms = [], []
     words = {}  # Dyck word -> [(q, t) terms of its pairs, pieces]
     c_d = Fraction(0)
     npieces = 0
@@ -453,14 +422,10 @@ def zeta_all(d, kinds=SWEEP_KINDS, pairs=None, progress=None):
         pieces = sum(len(cells) for _, cells in groups)
         npieces += pieces
         if "padic" in kinds or "overlap" in kinds:
-            qt = _region_term(groups, cols, QT, u_poly)
-            if "padic" in kinds:
-                qt_terms.append(qt)
-            if "overlap" in kinds:
-                acc = words.setdefault(
-                    "".join(map(str, wp.context.dyck)), [[], 0])
-                acc[0].append(qt)
-                acc[1] += pieces
+            acc = words.setdefault(
+                "".join(map(str, wp.context.dyck)), [[], 0])
+            acc[0].append(_region_term(groups, cols, QT, u_poly))
+            acc[1] += pieces
         if "reduced" in kinds:
             t_terms.append(_region_term(groups, cols, T, u_poly))
         if "topological" not in kinds and "c_d" not in kinds:
@@ -478,15 +443,15 @@ def zeta_all(d, kinds=SWEEP_KINDS, pairs=None, progress=None):
             if "c_d" in kinds:
                 c_d += Fraction(count, prod(b ** m
                                             for (b, _), m in den.items()))
+    summands = {w: rf_sum_common(terms, vars=QT)
+                for w, (terms, _) in sorted(words.items())}
     values = {}
     if "padic" in kinds:
-        values["padic"] = rf_sum_common(qt_terms, vars=QT)
+        values["padic"] = rf_sum_common(summands.values(), vars=QT)
     if "reduced" in kinds:
         values["reduced"] = rf_sum_common(t_terms, vars=T)
     if "topological" in kinds:
         values["topological"] = lff_sum(s_terms)
-    summands = {w: rf_sum_common(terms, vars=QT)
-                for w, (terms, _) in sorted(words.items())}
     seconds = round(time.time() - start, 3)
     out = {}
     for kind, value in values.items():
@@ -511,17 +476,20 @@ def zeta_padic(d, progress=None, pairs=None):
     return zeta_all(d, ("padic",), pairs, progress)["padic"]
 
 
+def dyck_word(d, word):
+    """The overlap type that word (a string or a sequence of 0s and 1s)
+    names, as a tuple; ValueError unless it is a Dyck word of length 2d'."""
+    text, n = "".join(map(str, word)), 2 * _dprime(d)
+    heights = list(accumulate(1 if c == "0" else -1 for c in text))
+    if set(text) - {"0", "1"} or len(text) != n or min(heights) < 0 \
+            or heights[-1]:
+        raise ValueError(f"not a Dyck word of length {n}: {text}")
+    return tuple(map(int, text))
+
+
 def zeta_overlap(d, word, progress=None):
     """The zeta function restricted to one overlap type (a Dyck word)."""
-    word = tuple(int(c) for c in word)
-    dp = _dprime(d)
-    if len(word) != 2 * dp or sorted(word) != [0] * dp + [1] * dp:
-        raise ValueError(f"not a balanced word of length {2 * dp}: {word}")
-    bal = 0
-    for c in word:
-        bal += 1 if c == 0 else -1
-        if bal < 0:
-            raise ValueError(f"unbalanced prefix in {word}")
+    word = dyck_word(d, word)
     pairs = [wp for wp in enumerate_Wd(d) if wp.context.dyck == word]
     res = zeta_padic(d, progress=progress, pairs=pairs)
     res.kind = f"overlap:{''.join(map(str, word))}"
@@ -575,7 +543,9 @@ def zeta_no_overlap(d, route="via_H", progress=None):
     start = time.time()
     dp = _dprime(d)
     monoid = no_overlap_monoid(d)
-    cols = list(zip(*numerical_map(d, kind="no_overlap")))
+    exps = no_overlap_exponents(d)
+    _assert_t_positive(monoid, exps)
+    cols = list(zip(*exps))
     terms = []
     combos = [(I, J) for I in _subsets_lex(d - 1) for J in _subsets_lex(dp - 1)]
     npieces = 0
@@ -763,8 +733,8 @@ def store_result(cache_dir, result: ZetaResult):
 def load_result(cache_dir, d, kind):
     """The cached result, or None on a miss.
 
-    A file that cannot be decoded, or fails revalidation, is a miss,
-    reported with a one-line reason on stderr.
+    A file that cannot be read or decoded, or fails revalidation, is a
+    miss, reported with a one-line reason on stderr.
     """
     path = cache_path(cache_dir, d, kind)
     if not os.path.exists(path):
@@ -778,8 +748,10 @@ def load_result(cache_dir, d, kind):
         else:
             value = FactoredRationalFunction.from_json_obj(obj["value"])
         provenance = obj.get("provenance", {})
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
-        # ValueError covers json.JSONDecodeError and UnicodeDecodeError
+    except (OSError, KeyError, ValueError, TypeError,
+            ZeroDivisionError) as exc:
+        # ValueError covers json.JSONDecodeError and UnicodeDecodeError,
+        # OSError an entry that cannot be opened (a directory, say)
         reason = f"unreadable ({type(exc).__name__}: {exc})"
     else:
         reason = _revalidation_failure(d, kind, stored, value)

@@ -18,7 +18,7 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(tmp_path, capsys, monkeypatch):
     assert run(capsys, "compute")[0] == 64
     assert run(capsys, "compute", "--d", "1")[0] == 64
     assert run(capsys, "compute", "--d", "2", "--kind", "nonsense")[0] == 64
@@ -30,6 +30,26 @@ def test_usage_errors(capsys):
     assert run(capsys, "report", "--d", "2", "--format", "latex")[0] == 64
     assert run(capsys, "nonsense")[0] == 64
     assert run(capsys)[0] == 64
+    # values that parse but name no computation: one line, nothing cached
+    monkeypatch.chdir(tmp_path)
+    for argv in [
+        ("compute", "--d", "2", "--kind", "overlap", "--word", "0110"),
+        ("compute", "--d", "2", "--kind", "overlap", "--word", "0x"),
+        ("compute", "--d", "2", "--kind", "overlap", "--word", "0101"),
+        ("compute", "--d", "2", "--kind", "overlap", "--word", "10"),
+        ("compute", "--d", "2", "--word", "01"),
+        ("verify", "--d", "2", "--suite", "oracle", "--order", "-1"),
+        ("verify", "--d", "2", "--suite", "oracle", "--p", "1"),
+        ("verify", "--d", "2", "--suite", "oracle", "--p", "4"),
+        ("oracle", "--d", "2", "--p", "0", "--n", "2"),
+        ("oracle", "--d", "2", "--p", "1", "--n", "2"),
+        ("oracle", "--d", "2", "--p", "-3", "--n", "2"),
+        ("oracle", "--d", "2", "--p", "2", "--n", "-1"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (64, ""), argv
+        assert len(err.splitlines()) == 1, (argv, err)
+    assert not os.listdir(tmp_path)
 
 
 def test_compute_formats(tmp_path, capsys):
@@ -148,6 +168,39 @@ def test_truncated_cache_file_is_a_miss(tmp_path, capsys):
     assert json.loads(path.read_text())["kind"] == "padic"
     assert sorted(os.listdir(cache)) == ["v1_d2_padic.json"]
     assert run(capsys, *args)[1:] == (clean, "")
+
+
+def test_cache_dir_that_is_a_file_still_prints_the_result(tmp_path,
+                                                          capsys):
+    args = ("compute", "--d", "2", "--format", "text")
+    code, clean, _ = run(capsys, *args, "--cache-dir",
+                         str(tmp_path / "cache"))
+    assert code == 0
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    code, out, err = run(capsys, *args, "--cache-dir", str(blocker))
+    assert (code, out) == (0, clean)
+    [line] = [x for x in err.splitlines() if x.startswith("cache:")]
+    assert line.startswith("cache: cannot write ")
+    assert blocker.read_text() == "not a directory"
+
+
+def test_cache_entry_that_is_a_directory_is_a_miss(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    args = ("compute", "--d", "2", "--format", "text", "--cache-dir",
+            str(cache))
+    code, clean, _ = run(capsys, *args)
+    assert code == 0
+    entry = cache / "v1_d2_padic.json"
+    entry.unlink()
+    entry.mkdir()
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (0, clean)
+    lines = [x for x in err.splitlines() if x.startswith("cache:")]
+    assert len(lines) == 2, err
+    assert lines[0].startswith(f"cache: ignoring {entry}: unreadable")
+    assert lines[1].startswith(f"cache: cannot write {entry}")
+    assert entry.is_dir() and sorted(os.listdir(cache)) == [entry.name]
 
 
 def test_concurrent_writers_share_one_cache(tmp_path, capsys):

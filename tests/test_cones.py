@@ -1,7 +1,8 @@
 """Tests for cones: extreme rays, faces, triangulations, box points."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,6 @@ from nilzeta.cones import (
     DiophantineMonoid,
     box_count,
     box_points,
-    decompose_region,
     decompose_region_by_face,
     extreme_rays,
     feasible,
@@ -30,42 +30,52 @@ def test_matrix_rank():
     assert matrix_rank([(1, 2, 3), (4, 5, 6), (7, 8, 10)]) == 3
 
 
+def _det(A):
+    """Determinant by Laplace expansion along the first row."""
+    if not A:
+        return 1
+    return sum((-1) ** j * a * _det([row[:j] + row[j + 1:] for row in A[1:]])
+               for j, a in enumerate(A[0]) if a)
+
+
+def check_smith(M, diag, V):
+    """diag and V are what a Smith form U M V = S makes them, for any U.
+
+    V is unimodular, column j of M V is divisible by diag[j] and vanishes
+    past the rank, each invariant factor divides the next, and the first r
+    of them multiply to the gcd of the r x r minors of M.
+    """
+    m, k = len(M), len(M[0])
+    assert abs(_det(V)) == 1
+    MV = [[sum(M[i][x] * V[x][j] for x in range(k)) for j in range(k)]
+          for i in range(m)]
+    for j in range(k):
+        s = diag[j] if j < len(diag) else 0
+        assert all((x % s == 0) if s else x == 0 for x in
+                   (MV[i][j] for i in range(m))), (j, s)
+    assert all(s > 0 for s in diag)
+    assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+    for r in range(1, min(m, k) + 1):
+        g = 0
+        for rows in combinations(range(m), r):
+            for cols in combinations(range(k), r):
+                g = gcd(g, _det([[M[i][j] for j in cols] for i in rows]))
+        assert g == (prod(diag[:r]) if r <= len(diag) else 0), r
+
+
 def test_smith_normal_form_examples():
     M = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    diag, U, V = smith_normal_form(M)
+    diag, V = smith_normal_form(M)
     assert diag == [2, 2, 156]
-    # verify U M V is the diagonal matrix
-    import itertools
-    n = len(M)
-    UM = [[sum(U[i][k] * M[k][j] for k in range(n)) for j in range(n)]
-          for i in range(n)]
-    UMV = [[sum(UM[i][k] * V[k][j] for k in range(n)) for j in range(n)]
-           for i in range(n)]
-    for i, j in itertools.product(range(n), repeat=2):
-        assert UMV[i][j] == (diag[i] if i == j and i < len(diag) else 0)
-    for i in range(len(diag) - 1):
-        assert diag[i + 1] % diag[i] == 0
+    check_smith(M, diag, V)
 
 
 @given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3),
                 min_size=2, max_size=3))
 @settings(max_examples=60, deadline=None)
 def test_smith_normal_form_random(M):
-    diag, U, V = smith_normal_form(M)
-    m, k = len(M), len(M[0])
-    UM = [[sum(U[i][x] * M[x][j] for x in range(m)) for j in range(k)]
-          for i in range(m)]
-    UMV = [[sum(UM[i][x] * V[x][j] for x in range(k)) for j in range(k)]
-           for i in range(m)]
-    for i in range(m):
-        for j in range(k):
-            expect = diag[i] if i == j and i < len(diag) else 0
-            assert UMV[i][j] == expect
-    for i in range(len(diag) - 1):
-        assert diag[i + 1] % diag[i] == 0
-    assert all(d > 0 for d in diag)
-    # U, V unimodular: integer inverses exist iff det = +-1; check via rank
-    assert matrix_rank(U) == m and matrix_rank(V) == k
+    diag, V = smith_normal_form(M)
+    check_smith(M, diag, V)
 
 
 def test_feasible():

@@ -13,14 +13,23 @@ digests with
 import hashlib
 import json
 
-from nilzeta.arith import poly_div_binomial, rf_sum_common
-from nilzeta.cones import decompose_region_by_face
+from nilzeta.arith import (
+    poly_div_binomial,
+    rf_equal,
+    rf_substitute,
+    rf_sum_common,
+)
+from nilzeta.cones import (
+    decompose_region_by_face,
+    genfun_faces,
+    genfun_piece,
+    genfun_region,
+)
 from nilzeta.zeta import (
     QT,
     T,
     WPair,
     _gaussian_product,
-    _piece,
     _region_term,
     enumerate_Wd,
     region_of_wpair,
@@ -37,6 +46,21 @@ D4_PAIRS = [
     ((1, 2), (7, 9, 8, 11, 10, 12, 3, 2, 1, 6, 5, 4)),
     ((1, 2, 3), (7, 8, 9, 10, 11, 2, 1, 12, 6, 5, 4, 3)),
     ((1, 3), (8, 7, 10, 9, 12, 11, 6, 5, 4, 3, 2, 1)),
+]
+
+# every 40th of the 400 cheapest finishing pairs of bench/panel_d4.json:
+# ten pairs over five Dyck words
+D4_SET = [
+    ((), (12, 11, 10, 9, 8, 7, 1, 6, 5, 4, 3, 2)),
+    ((2,), (7, 11, 10, 9, 8, 1, 3, 2, 5, 4, 12, 6)),
+    ((2,), (7, 11, 10, 9, 8, 12, 2, 1, 5, 4, 3, 6)),
+    ((1,), (9, 8, 7, 12, 11, 10, 1, 4, 3, 2, 6, 5)),
+    ((3,), (10, 8, 7, 2, 1, 12, 11, 9, 6, 5, 4, 3)),
+    ((1, 2), (7, 9, 8, 1, 11, 10, 3, 2, 12, 6, 5, 4)),
+    ((3,), (10, 8, 7, 12, 11, 9, 2, 1, 6, 5, 4, 3)),
+    ((1, 3), (8, 7, 9, 10, 12, 11, 3, 2, 1, 6, 5, 4)),
+    ((1, 2, 3), (7, 8, 9, 10, 11, 12, 4, 3, 2, 1, 6, 5)),
+    ((2, 3), (7, 1, 10, 8, 11, 9, 12, 5, 4, 3, 2, 6)),
 ]
 
 DIGESTS = {
@@ -84,9 +108,24 @@ DIGESTS = {
         'e53920d3786de3bd7d1bdf68a48a45702d531578adaa5758a1d76f90978fbbe8',
 }
 
+D4_SET_DIGESTS = {
+    'padic':
+        '94fcdaf29e7143f677eb45d5c538264d2adbf220fd919e9fb05c3e457e97703a',
+    'overlap:000000111111':
+        '7ec44047390d760dccc35f06d504768492571657f32a431664c78930bb4b834b',
+    'overlap:000001111101':
+        '118a656cf5998470b7fec8e4b517eafbdc550c0ee473e70ec66fd31d57aa6f63',
+    'overlap:000100110111':
+        '5743e96f25b26f9ee35f2ce87758e55c584d392471bf676a526ee73379861169',
+    'overlap:000110001111':
+        '73b2c16f2720f05f8af3ad80d27680b86fb0f6cd3d1c8f2514cf63cecb02b40e',
+    'overlap:010000011111':
+        '6e3fed573ec2ed8f888288161da0061990e283de86523bf171378d80a657d568',
+}
 
-def _d4_pairs():
-    return [WPair(4, frozenset(I), sigma) for I, sigma in D4_PAIRS]
+
+def _d4_pairs(pairs=D4_PAIRS):
+    return [WPair(4, frozenset(I), sigma) for I, sigma in pairs]
 
 
 def _forms():
@@ -107,6 +146,16 @@ def _forms():
     return out
 
 
+def _d4_set_forms():
+    """The p-adic sum of D4_SET, assembled across its five words, and each
+    word's summand."""
+    res = zeta_all(4, ("padic", "overlap"), pairs=_d4_pairs(D4_SET))
+    out = {"padic": res["padic"].value}
+    for word, summand in res["overlap"].items():
+        out[f"overlap:{word}"] = summand.value
+    return out
+
+
 def _digest(value):
     text = json.dumps(value.to_json_obj(), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -114,6 +163,11 @@ def _digest(value):
 
 def test_output_forms_are_pinned():
     assert {name: _digest(v) for name, v in _forms().items()} == DIGESTS
+
+
+def test_d4_multi_word_forms_are_pinned():
+    assert {name: _digest(v) for name, v in _d4_set_forms().items()} \
+        == D4_SET_DIGESTS
 
 
 def _in_lowest_terms(f):
@@ -131,7 +185,8 @@ def test_region_terms_arrive_in_lowest_terms():
         u_poly = _gaussian_product(wp)
         for vars in (QT, T):
             for _, cells in groups:
-                pieces = [_piece(p, cols[-len(vars):], vars) for p in cells]
+                pieces = [genfun_piece(p, cols[-len(vars):], vars)
+                          for p in cells]
                 assert all(c > 0 for p in pieces
                            for c in p.num.terms.values()), wp
                 assert _in_lowest_terms(rf_sum_common(pieces, vars=vars)), wp
@@ -139,6 +194,20 @@ def test_region_terms_arrive_in_lowest_terms():
                 _region_term(groups, cols, vars, u_poly)), wp
 
 
+def test_region_sums_push_through_the_map():
+    """The face-grouped sum under the (q, t) map is the identity-map region
+    generating function with the map substituted afterwards."""
+    for wp in enumerate_Wd(3) + _d4_pairs():
+        monoid, A, C = region_of_wpair(wp)
+        exps = wp.context.qt_exponents()
+        mapped = genfun_faces(decompose_region_by_face(monoid, A, C),
+                              list(zip(*exps)), QT)
+        assert rf_equal(mapped, rf_substitute(genfun_region(monoid, A, C),
+                                              exps, QT)), wp
+
+
 if __name__ == "__main__":
-    for name, value in _forms().items():
-        print(f"    {name!r}:\n        {_digest(value)!r},")
+    for forms in (_forms(), _d4_set_forms()):
+        for name, value in forms.items():
+            print(f"    {name!r}:\n        {_digest(value)!r},")
+        print()
