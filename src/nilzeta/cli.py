@@ -20,6 +20,7 @@ from .oracle import (
 EXIT_OK = 0
 EXIT_ORACLE_CAPACITY = 3
 EXIT_USAGE = 64
+EXIT_CANTCREAT = 73
 
 KINDS = ("padic", "overlap", "no-overlap", "reduced", "topological")
 
@@ -84,6 +85,22 @@ def render(result, fmt):
     return repr(result.value)
 
 
+def _emit(text, output):
+    """Print text, or write it to the file output; a file that cannot be
+    written is one line on stderr and EXIT_CANTCREAT."""
+    if not output:
+        print(text)
+        return EXIT_OK
+    try:
+        with open(output, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        print(f"output: cannot write {output}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_CANTCREAT
+    return EXIT_OK
+
+
 def cmd_compute(args):
     cache_dir = default_cache_dir(args.cache_dir)
     kind = args.kind
@@ -109,13 +126,7 @@ def cmd_compute(args):
             path = zmod.cache_path(cache_dir, result.d, result.kind)
             print(f"cache: cannot write {path}: {exc}".splitlines()[0],
                   file=sys.stderr)
-    text = render(result, args.format)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return EXIT_OK
+    return _emit(render(result, args.format), args.output)
 
 
 def _check(name, ok, detail=""):
@@ -230,12 +241,7 @@ def cmd_report(args):
     }
     text = json.dumps(obj, sort_keys=True) if args.format == "json" else \
         "\n".join(f"{k}: {v}" for k, v in obj.items())
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return EXIT_OK
+    return _emit(text, args.output)
 
 
 def build_parser():

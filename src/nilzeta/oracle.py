@@ -69,11 +69,17 @@ def _compositions(total, parts):
 
 def hnf_count(n, index_exp, p):
     """Number of upper-triangular Hermite normal forms of determinant
-    p^index_exp in rank n."""
-    total = 0
-    for diag in _compositions(index_exp, n):
-        total += p ** sum(diag[i] * (n - 1 - i) for i in range(n))
-    return total
+    p^index_exp in rank n.
+
+    A diagonal p^a_0..p^a_(n-1) has p^(a_i (n-1-i)) fillings, so the count
+    is the complete homogeneous symmetric polynomial h_index_exp(1, p, ...,
+    p^(n-1)), built one variable at a time by h_k += x h_(k-1)."""
+    h = [1] + [0] * index_exp
+    for i in range(n):
+        x = p ** i
+        for k in range(1, index_exp + 1):
+            h[k] += x * h[k - 1]
+    return h[index_exp]
 
 
 def _check_capacity(n, index_exp, p, guard):
@@ -84,53 +90,78 @@ def _check_capacity(n, index_exp, p, guard):
 
 
 def _hnf_lattices(n, index_exp, p, guard):
-    """Yield column bases (upper triangular, diag p^a_i, row i entries
-    reduced modulo the row's diagonal) of all sublattices of the given
-    index."""
+    """Yield (cols, dvals) for every sublattice of index p^index_exp.
+
+    cols is a column basis in Hermite normal form: upper triangular with
+    diagonal dvals, the entries of row i reduced modulo dvals[i].  One
+    buffer is rewritten in place for each lattice, so a caller that keeps
+    a lattice must copy it."""
     _check_capacity(n, index_exp, p, guard)
+    cols = [[0] * n for _ in range(n)]
     for diag in _compositions(index_exp, n):
         dvals = [p ** a for a in diag]
-        free = [(i, j) for j in range(n) for i in range(j) if dvals[i] > 1]
-        ranges = [range(dvals[i]) for (i, j) in free]
-        for fill in product(*ranges):
-            cols = [[0] * n for _ in range(n)]
-            for j in range(n):
-                cols[j][j] = dvals[j]
-            for (i, j), val in zip(free, fill):
-                cols[j][i] = val
-            yield cols
+        for j, col in enumerate(cols):
+            col[:] = [0] * n
+            col[j] = dvals[j]
+        free = sorted(((cols[j], i) for j in range(n) for i in range(j)
+                       if dvals[i] > 1), key=lambda entry: dvals[entry[1]])
+        if not free:
+            yield cols, dvals
+            continue
+        # the entry with the widest range varies fastest, and only it is
+        # rewritten for each lattice
+        (last, row), outer = free[-1], free[:-1]
+        for fill in product(*(range(dvals[i]) for _, i in outer)):
+            for (col, i), val in zip(outer, fill):
+                col[i] = val
+            for val in range(dvals[row]):
+                last[row] = val
+                yield cols, dvals
 
 
 def _in_lattice(vec, cols, dvals):
-    """Membership in the lattice spanned by upper-triangular columns."""
-    v = list(vec)
-    for j in range(len(cols) - 1, -1, -1):
-        if v[j] % dvals[j]:
+    """Membership in the span of the leading len(vec) upper-triangular
+    columns; vec is consumed."""
+    for j in range(len(vec) - 1, -1, -1):
+        c, r = divmod(vec[j], dvals[j])
+        if r:
             return False
-        c = v[j] // dvals[j]
         if c:
-            for i in range(j + 1):
-                v[i] -= c * cols[j][i]
+            col = cols[j]
+            for i in range(j):
+                vec[i] -= c * col[i]
     return True
 
 
 def count_subalgebras(d, p, index_exp, guard=GUARD):
-    """Number of subalgebras of index p^index_exp, by direct enumeration."""
+    """Number of subalgebras of index p^index_exp, by direct enumeration.
+
+    The lattices are walked in a centre-first basis: y_(i,j) first, then
+    x_1..x_d.  There the leading d' columns of a Hermite normal form span
+    the intersection of L with the centre and bracket to 0 with
+    everything, and two generator columns bracket, through their x rows
+    alone, into the centre.  So L is closed exactly when each bracket of
+    two generator columns lies in the span of the leading d' columns: a
+    back-substitution over d' rows.  Every lattice still gets its own
+    test, once for each fill of the generator columns' y rows, so the
+    count checks gss_partial's lift factor p^(d|nu|) rather than assuming
+    it.
+    """
     sc = StructureConstants(d)
-    n = sc.rank
+    n, dp = sc.rank, _dprime(d)
+    # the x rows (i, j) of [x_i, x_j] = y_(i,j), read off the x-first table
+    # in the order of the y rows, which both bases share
+    xrows = [(dp + i - 1, dp + j - 1) for (i, j), _ in
+             sorted(sc.pair_col.items(), key=lambda item: item[1])]
+    gen_pairs = [(a, b) for a in range(dp, n) for b in range(a + 1, n)]
     total = 0
-    for cols in _hnf_lattices(n, index_exp, p, guard):
-        dvals = [cols[j][j] for j in range(n)]
-        ok = True
-        for a in range(n):
-            for b in range(a + 1, n):
-                w = sc.bracket(cols[a], cols[b])
-                if not _in_lattice(w, cols, dvals):
-                    ok = False
-                    break
-            if not ok:
+    for cols, dvals in _hnf_lattices(n, index_exp, p, guard):
+        for a, b in gen_pairs:
+            u, v = cols[a], cols[b]
+            w = [u[i] * v[j] - u[j] * v[i] for i, j in xrows]
+            if not _in_lattice(w, cols, dvals):
                 break
-        if ok:
+        else:
             total += 1
     return total
 

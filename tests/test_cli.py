@@ -114,12 +114,34 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["d"] == 2
 
 
+@pytest.mark.parametrize("verb", ["compute", "report"])
+def test_output_that_cannot_be_written(tmp_path, capsys, verb):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, verb, "--d", "2", "--cache-dir",
+                         str(tmp_path / "c"), "--output", str(target))
+    assert (code, out) == (73, "")
+    [line] = [x for x in err.splitlines() if x.startswith("output:")]
+    assert line == f"output: cannot write {target}: No such file or directory"
+    assert "Traceback" not in err
+    assert not target.parent.exists()
+
+
 def test_oracle_command(capsys):
     code, out, _ = run(capsys, "oracle", "--d", "2", "--p", "2", "--n", "2")
     assert code == 0
     assert "19" in out
     code, _, err = run(capsys, "oracle", "--d", "4", "--p", "2", "--n", "9")
     assert code == 3
+
+
+def test_oracle_guard_answers_at_once(capsys):
+    # 400 has about 9 * 10^10 compositions into 6 parts; the guard must
+    # count the forms without listing them
+    code, out, err = run(capsys, "oracle", "--d", "3", "--p", "2",
+                         "--n", "400")
+    assert (code, out) == (3, "")
+    [line] = err.splitlines()
+    assert line.startswith("capacity exceeded: ")
 
 
 @pytest.mark.parametrize("suite", ["oracle", "all"])

@@ -2,6 +2,7 @@
 
 import ast
 import os
+from itertools import product
 
 import pytest
 
@@ -65,6 +66,18 @@ def test_hnf_count_agrees_with_enumeration():
     assert hnf_count(3, 1, 2) == 7
 
 
+def test_hnf_count_is_the_composition_sum():
+    # a diagonal p^a_0..p^a_(n-1) leaves p^(a_i (n-1-i)) choices above it
+    for n in range(1, 7):
+        for k in range(9):
+            for p in (2, 3):
+                by_diagonal = sum(
+                    p ** sum(a * (n - 1 - i) for i, a in enumerate(diag))
+                    for diag in product(range(k + 1), repeat=n)
+                    if sum(diag) == k)
+                assert hnf_count(n, k, p) == by_diagonal, (n, k, p)
+
+
 def test_structure_constants_bracket():
     sc = StructureConstants(2)
     x1 = [1, 0, 0]
@@ -83,6 +96,14 @@ def test_gss_partial_small():
 def test_series_oracle_agreement():
     assert subalgebra_series(2, 2, 3) == [1, 3, 19, 43]
     assert gss_partial(2, 2, 3) == [1, 3, 19, 43]
+
+
+@pytest.mark.parametrize("d,p,order",
+                         [(2, 2, 5), (2, 3, 5), (2, 5, 4), (3, 2, 3),
+                          (3, 3, 2)])
+def test_enumeration_matches_gss_partial(d, p, order):
+    # up to about 5 * 10^5 lattices per point, each tested on its own
+    assert subalgebra_series(d, p, order) == gss_partial(d, p, order)
 
 
 @pytest.mark.parametrize("d,p,order", [(2, 2, 4), (2, 3, 3), (3, 2, 2)])
