@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from math import isqrt
 
 from . import zeta as zmod
@@ -32,9 +33,19 @@ def default_cache_dir(flag_value):
 
 
 def heartbeat(every=200):
+    """A progress callback: every `every` pairs, and at the last, one
+    `progress:` line on stderr with the rate since the callback was made
+    and the time left at that rate."""
+    start = time.monotonic()
+
     def cb(k, n):
         if k % every == 0 or k == n:
-            print(f"progress: {k}/{n} pairs", file=sys.stderr, flush=True)
+            line = f"progress: {k}/{n} pairs"
+            elapsed = time.monotonic() - start
+            if elapsed > 0:
+                rate = k / elapsed
+                line += f", {rate:.1f} pairs/s, eta {(n - k) / rate:.0f} s"
+            print(line, file=sys.stderr, flush=True)
     return cb
 
 
@@ -114,8 +125,8 @@ def cmd_compute(args):
         elif kind == "overlap":
             result = zmod.zeta_overlap(args.d, args.word, progress=cb)
         elif kind == "no-overlap":
-            result = zmod.zeta_no_overlap(args.d, route=args.route,
-                                          progress=cb)
+            result = zmod.zeta_no_overlap(
+                args.d, route=args.route or "via_H", progress=cb)
         elif kind == "reduced":
             result = zmod.zeta_reduced(args.d, progress=cb)
         else:
@@ -261,7 +272,8 @@ def build_parser():
     common(sc, ("json", "latex", "text"))
     sc.add_argument("--kind", choices=KINDS, default="padic")
     sc.add_argument("--word", help="Dyck word for --kind overlap, e.g. 0101")
-    sc.add_argument("--route", choices=("via_H", "via_G"), default="via_H")
+    sc.add_argument("--route", choices=("via_H", "via_G"),
+                    help="route for --kind no-overlap (default via_H)")
     sc.set_defaults(func=cmd_compute)
 
     sv = sub.add_parser("verify", help="run verification suites")
@@ -308,6 +320,8 @@ def _usage_problem(args):
             return f"--word: {exc}"
     elif getattr(args, "word", None):
         return "--word only makes sense with --kind overlap"
+    if getattr(args, "route", None) and args.kind != "no-overlap":
+        return "--route only makes sense with --kind no-overlap"
     return None
 
 

@@ -10,6 +10,13 @@ a prescribed set C), pushed through a monomial map: summed piece by piece,
 per face first and then across faces.  The identity map gives the
 multivariate generating function itself.
 
+A piece's numerator sums its box points, the lattice points of its
+half-open parallelepiped.  Every piece of a region is a face of a simplex
+of the pulling triangulation of the region's top face, so each such
+simplex gets one Smith normal form, for its parallelepiped group
+(BoxGroup), and every piece reads its box points off that group: the
+elements whose coordinates vanish off the piece's rays.
+
 All arithmetic is exact, over int and Fraction.
 """
 
@@ -266,51 +273,96 @@ def minimal_supports(rays):
 # Box points of a simplicial cone.
 
 
-def _ray_smith(rays):
-    """diag and V of the Smith form of the matrix whose columns are the rays.
+class BoxGroup:
+    """The parallelepiped group of a simplex, computed on first use.
 
-    Coordinates where every ray vanishes give zero rows, which change
-    neither; they are left out.
+    For linearly independent rays r_1, ..., r_n it holds the lattice points
+    Sum a_i r_i with every a_i in [0, 1): the lattice points of the rays'
+    span modulo the lattice the rays generate.  Each element is kept as its
+    coordinates a_i, numerators over one common denominator lcm, with the
+    mask of its nonzero coordinates.
+
+    A face of the simplex, on a subset S of its rays, has as its group the
+    elements with a_i = 0 outside S: a lattice point of the face's span has
+    the same coordinates in S as in all the rays.  So one Smith normal form
+    serves every face of the simplex.
     """
-    M = [list(row) for row in zip(*rays) if any(row)]
-    diag, V = smith_normal_form(M)
-    if len(diag) != len(rays):
-        raise ValueError("rays are not linearly independent")
-    return diag, V
+
+    __slots__ = ("rays", "index", "_lcm", "_elements")
+
+    def __init__(self, rays):
+        self.rays = tuple(rays)
+        self.index = {r: i for i, r in enumerate(self.rays)}
+        self._elements = None
+
+    def elements(self):
+        """(lcm, [(support mask, numerators)]), from the Smith form of the
+        matrix whose columns are the rays.
+
+        a_j (numerator over lcm) ranges over V . (c / diag) with
+        0 <= c_i < diag[i]; only the invariant factors above 1 let c_i
+        move.  Coordinates where every ray vanishes give zero rows, which
+        change neither diag nor V; they are left out.
+        """
+        if self._elements is None:
+            M = [list(row) for row in zip(*self.rays) if any(row)]
+            diag, V = smith_normal_form(M)
+            if len(diag) != len(self.rays):
+                raise ValueError("rays are not linearly independent")
+            lcm = 1
+            for s in diag:
+                lcm = lcm // gcd(lcm, s) * s
+            free = [i for i, s in enumerate(diag) if s > 1]
+            scaled_V = [[row[i] * (lcm // diag[i]) for i in free]
+                        for row in V]
+            elements = []
+            for c in product(*(range(diag[i]) for i in free)):
+                a = tuple(sum(map(mul, row, c)) % lcm for row in scaled_V)
+                elements.append((_support_mask(a), a))
+            self._lcm, self._elements = lcm, elements
+        return self._lcm, self._elements
+
+    def face_box(self, rays):
+        """(lcm, coordinates) of the box of the face on rays, a subset of
+        the simplex's rays: each element that is 0 off the face, its
+        coordinates at rays in that order, every 0 raised to lcm (a_i = 1)
+        to fold it into (0, 1]."""
+        lcm, elements = self.elements()
+        at = [self.index[r] for r in rays]
+        off = ~_mask(at)
+        return lcm, [[a[i] or lcm for i in at]
+                     for support, a in elements if not support & off]
 
 
-def box_count(rays):
-    """Number of lattice points Sum a_i r_i with a_i in (0, 1]."""
-    out = 1
-    if rays:
-        for s in _ray_smith(rays)[0]:
-            out *= s
-    return out
+def box_count(rays, group=None):
+    """Number of lattice points Sum a_i r_i with a_i in (0, 1].
+
+    group is the BoxGroup of a simplex that has the rays among its own; by
+    default the rays' own simplex.
+    """
+    if not rays:
+        return 1
+    if group is None:
+        group = BoxGroup(rays)
+    return len(group.face_box(rays)[1])
 
 
-def box_points(rays):
+def box_points(rays, group=None):
     """Lattice points Sum a_i r_i with every a_i in (0, 1], as tuples.
 
-    Computed through the Smith normal form of the matrix whose columns are
-    the (linearly independent) rays: residue classes of the quotient lattice
-    give one representative each, folded into the half-open box.
+    Read off the parallelepiped group (BoxGroup) of a simplex that has the
+    (linearly independent) rays among its own, by default the rays' own
+    simplex: one point per element that is 0 off the rays, mapped through
+    the rays with its coordinates folded into (0, 1].
     """
     if not rays:
         return [()]
-    k = len(rays)
-    diag, V = _ray_smith(rays)
-    lcm = 1
-    for s in diag:
-        lcm = lcm // gcd(lcm, s) * s
-    # a_j (numerator over lcm) ranges over V . (c / diag) with 0 <= c_i <
-    # diag[i]; only the invariant factors above 1 let c_i move.  Fold each
-    # a_j into (0, 1]: numerators shifted to {1, ..., lcm}, integers to 1
-    free = [i for i, s in enumerate(diag) if s > 1]
-    scaled_V = [[V[j][i] * (lcm // diag[i]) for i in free] for j in range(k)]
+    if group is None:
+        group = BoxGroup(rays)
+    lcm, coeffs = group.face_box(rays)
     coords = list(zip(*rays))
     points = []
-    for c in product(*(range(diag[i]) for i in free)):
-        a = [(sum(map(mul, row, c)) - 1) % lcm + 1 for row in scaled_V]
+    for a in coeffs:
         x = []
         for col in coords:
             v = sum(map(mul, col, a))
@@ -329,13 +381,16 @@ class SimplicialPiece:
     """An open simplicial cone: relint of the cone on linearly independent rays.
 
     Its lattice-point generating function is
-    (sum over box points Z^beta) / prod over rays (1 - Z^ray).
+    (sum over box points Z^beta) / prod over rays (1 - Z^ray).  The box
+    points are read off group, the BoxGroup of a simplex having the rays
+    among its own (by default the rays' own simplex).
     """
 
-    __slots__ = ("rays", "_box")
+    __slots__ = ("rays", "_group", "_box")
 
-    def __init__(self, rays):
+    def __init__(self, rays, group=None):
         self.rays = tuple(tuple(r) for r in rays)
+        self._group = group
         self._box = None
 
     @property
@@ -344,11 +399,11 @@ class SimplicialPiece:
 
     def box(self):
         if self._box is None:
-            self._box = box_points(self.rays)
+            self._box = box_points(self.rays, self._group)
         return self._box
 
     def count_box(self):
-        return box_count(self.rays)
+        return box_count(self.rays, self._group)
 
     def __repr__(self):
         return f"SimplicialPiece(rays={self.rays})"
@@ -372,6 +427,7 @@ class DiophantineMonoid:
         self._within = {}
         self._cells = {}
         self._tri = {}
+        self._groups = {}
         self._fdim = {}
         self._ray_order_key = ray_order_key
 
@@ -482,16 +538,31 @@ class DiophantineMonoid:
         self._tri[b] = out
         return out
 
-    def _cells_of(self, b):
+    def _cells_of(self, b, top=None):
+        """The cells of face b, each tied to a simplex of the triangulation
+        of the face top (b itself by default) that has it as a face.
+
+        The pulling triangulation of a face is the restriction to it of the
+        pulling triangulation of any face containing it, so that simplex
+        exists.  A cell reads its box points off the BoxGroup of that
+        simplex, kept once per simplex, so the cells of every face of a
+        region share the Smith forms of the region's top simplices.  The
+        cells are kept per face; a face met again in a region with another
+        top keeps the cells it has.
+        """
         out = self._cells.get(b)
         if out is not None:
             return out
         if not b:
             out = [SimplicialPiece(())]
         else:
+            hosts = [self._box_group(t)
+                     for t in self._triangulation(b if top is None else top)]
             seen = set()
             out = []
             for simplex in self._triangulation(b):
+                group = next(g for g in hosts
+                             if all(r in g.index for r in simplex))
                 masks = [self._ray_masks[r] for r in simplex]
                 n = len(simplex)
                 covers = [0] * (1 << n)
@@ -505,9 +576,15 @@ class DiophantineMonoid:
                                    if sel >> i & 1)
                     if subset not in seen:
                         seen.add(subset)
-                        out.append(SimplicialPiece(subset))
+                        out.append(SimplicialPiece(subset, group))
         self._cells[b] = out
         return out
+
+    def _box_group(self, simplex):
+        group = self._groups.get(simplex)
+        if group is None:
+            group = self._groups[simplex] = BoxGroup(simplex)
+        return group
 
 
 def decompose_region_by_face(monoid: DiophantineMonoid, A, C):
@@ -518,11 +595,14 @@ def decompose_region_by_face(monoid: DiophantineMonoid, A, C):
     x_i = 0 outside C.  Such x lie in the relative interior of the face
     supp(x), so the region is the disjoint union of the relints of the faces
     B with A <= B <= C; each face comes with the cells that tile its relint.
-    Only the faces inside C are enumerated.
+    Only the faces inside C are enumerated.  The last of them, the union of
+    all, is the region's top face; each cell is tied to a simplex of its
+    triangulation, whose parallelepiped group gives the cell's box points.
     """
     a = _mask(A)
-    return [(frozenset(_bits(b)), monoid._cells_of(b))
-            for b in monoid._faces_within(_mask(C)) if b & a == a]
+    faces = monoid._faces_within(_mask(C))
+    return [(frozenset(_bits(b)), monoid._cells_of(b, faces[-1]))
+            for b in faces if b & a == a]
 
 
 def genfun_piece(piece: SimplicialPiece, cols, vars):

@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 import nilzeta
-from nilzeta import zeta
-from nilzeta.cli import main
+from nilzeta import cli, zeta
+from nilzeta.cli import heartbeat, main
 
 
 def run(capsys, *argv):
@@ -38,6 +39,10 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
         ("compute", "--d", "2", "--kind", "overlap", "--word", "0101"),
         ("compute", "--d", "2", "--kind", "overlap", "--word", "10"),
         ("compute", "--d", "2", "--word", "01"),
+        ("compute", "--d", "2", "--kind", "padic", "--route", "via_G"),
+        ("compute", "--d", "2", "--kind", "overlap", "--word", "01",
+         "--route", "via_H"),
+        ("compute", "--d", "2", "--route", "via_G"),
         ("verify", "--d", "2", "--suite", "oracle", "--order", "-1"),
         ("verify", "--d", "2", "--suite", "oracle", "--p", "1"),
         ("verify", "--d", "2", "--suite", "oracle", "--p", "4"),
@@ -294,3 +299,32 @@ def test_requests_share_one_sweep(capsys, monkeypatch, argv):
     assert len(visits) <= 44
     if argv[0] == "report":
         assert err.count("progress:") == 1
+
+
+def _fake_clock(monkeypatch, *ticks):
+    ticks = iter(ticks)
+    monkeypatch.setattr(cli, "time", SimpleNamespace(
+        monotonic=lambda: next(ticks)))
+
+
+def test_heartbeat_reports_rate_and_eta(capsys, monkeypatch):
+    """Every `every` pairs and at the last, one progress line with the
+    rate since the callback was made and the time left at that rate."""
+    _fake_clock(monkeypatch, 100.0, 105.0, 110.0, 112.5)
+    cb = heartbeat(every=200)
+    for k in range(1, 451):
+        cb(k, 450)
+    assert capsys.readouterr().err.splitlines() == [
+        "progress: 200/450 pairs, 40.0 pairs/s, eta 6 s",
+        "progress: 400/450 pairs, 40.0 pairs/s, eta 1 s",
+        "progress: 450/450 pairs, 36.0 pairs/s, eta 0 s",
+    ]
+
+
+def test_heartbeat_without_elapsed_time_keeps_the_count(capsys, monkeypatch):
+    # a coarse clock (about 15 ms a tick on some systems) can read the
+    # same time at the start and at the last pair of a small sweep
+    _fake_clock(monkeypatch, 7.0, 7.0)
+    cb = heartbeat(every=2)
+    cb(2, 3)
+    assert capsys.readouterr().err == "progress: 2/3 pairs\n"

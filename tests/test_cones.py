@@ -2,13 +2,15 @@
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, prod
+from math import ceil, gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nilzeta import cones
 from nilzeta.arith import FactoredRationalFunction, LaurentPolynomial, rf_equal
 from nilzeta.cones import (
+    BoxGroup,
     DiophantineMonoid,
     box_count,
     box_points,
@@ -20,7 +22,8 @@ from nilzeta.cones import (
     minimal_supports,
     smith_normal_form,
 )
-from nilzeta.zeta import enumerate_Wd, region_of_wpair
+from nilzeta.zeta import SigmaContext, WPair, enumerate_Wd, region_of_wpair
+from test_output_forms import D4_PAIRS
 
 
 def test_matrix_rank():
@@ -156,13 +159,24 @@ def test_box_points_index_two():
     assert sorted(pts) == sorted(brute)
 
 
+def _maximal_minor(rays):
+    """|a nonzero k x k minor| of the matrix whose columns are the k rays."""
+    rows = []
+    for row in zip(*rays):
+        if matrix_rank(rows + [row]) > len(rows):
+            rows.append(row)
+    assert len(rows) == len(rays)
+    return abs(_det([list(r) for r in rows]))
+
+
 def brute_box(rays):
     """All integer points Sum a_i r_i with a_i in (0, 1], by rational scan."""
     k = len(rays)
     m = len(rays[0])
-    denom = box_count(rays)
+    denom = _maximal_minor(rays)
     pts = set()
-    # coefficients with denominator dividing the lattice index suffice
+    # the coefficients of a lattice point solve a k x k system of the rays'
+    # coordinates, so their denominators divide any nonzero maximal minor
     for cs in product(range(1, denom + 1), repeat=k):
         a = [Fraction(c, denom) for c in cs]
         x = []
@@ -292,6 +306,105 @@ def test_quasi_generator_example():
     # degenerate lattice geometry produces a genuine box point
     pts = box_points([(0, 1, 2, 0), (0, 1, 0, 2)])
     assert sorted(pts) == [(0, 1, 1, 1), (0, 2, 2, 2)]
+
+
+def reference_box(rays):
+    """The box points of one cell from a Smith form of its own rays: a
+    residue class c of the quotient lattice has coordinates V . (c / diag),
+    folded into (0, 1]."""
+    if not rays:
+        return [()]
+    diag, V = smith_normal_form([list(r) for r in zip(*rays) if any(r)])
+    assert len(diag) == len(rays)
+    points = []
+    for c in product(*(range(s) for s in diag)):
+        a = [sum(Fraction(V[j][i] * c[i], diag[i]) for i in range(len(c)))
+             for j in range(len(rays))]
+        a = [x - ceil(x) + 1 for x in a]
+        assert all(0 < x <= 1 for x in a)
+        point = tuple(sum(x * r[i] for x, r in zip(a, rays))
+                      for i in range(len(rays[0])))
+        assert all(x.denominator == 1 for x in point)
+        points.append(tuple(int(x) for x in point))
+    return sorted(points)
+
+
+def _d4_pinned_pairs():
+    return [WPair(4, frozenset(I), sigma) for I, sigma in D4_PAIRS]
+
+
+def test_cell_box_points_match_a_smith_form_per_cell():
+    """Every cell of every d=3 region and of the pinned d=4 pairs reads the
+    box points and count of a Smith form of its own rays off its top
+    simplex; small cells are checked by rational scan too."""
+    seen = set()
+    for wp in enumerate_Wd(3) + _d4_pinned_pairs():
+        monoid, A, C = region_of_wpair(wp)
+        for _, cells in decompose_region_by_face(monoid, A, C):
+            for p in cells:
+                if id(p) in seen:
+                    continue
+                seen.add(id(p))
+                want = reference_box(p.rays)
+                assert p.box() == want, p
+                assert p.count_box() == len(want), p
+                if p.rays and _maximal_minor(p.rays) ** p.dim <= 256:
+                    assert set(want) == brute_box(p.rays), p
+    assert len(seen) > 400
+
+
+@pytest.mark.parametrize("simplex", [
+    [(1, 2, 0), (1, 0, 2), (0, 1, 1)],
+    [(1, 1, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0), (0, 0, 1, 2)],
+])
+def test_faces_read_off_a_simplex_group(simplex):
+    """Every face of a simplex of index 4 gets its box from the simplex's
+    group; some proper face has points besides the sum of its rays."""
+    group = BoxGroup(simplex)
+    assert len(group.elements()[1]) == 4
+    beyond_sum = 0
+    for k in range(1, len(simplex) + 1):
+        for face in combinations(simplex, k):
+            pts = box_points(face, group)
+            assert set(pts) == brute_box(face), face
+            assert box_count(face, group) == len(pts)
+            if k < len(simplex):
+                beyond_sum += pts != [tuple(map(sum, zip(*face)))]
+    assert beyond_sum == 1
+
+
+def test_box_group_rejects_dependent_rays():
+    with pytest.raises(ValueError, match="not linearly independent"):
+        box_points([(1, 1), (2, 2)])
+
+
+def test_one_smith_form_per_top_simplex(monkeypatch):
+    """Over the pinned d=4 pairs, each on a fresh monoid, the cells of all
+    the region's faces share the Smith forms of the top face's simplices."""
+    calls = []
+    original = cones.smith_normal_form
+
+    def counted(M):
+        calls.append(M)
+        return original(M)
+
+    monkeypatch.setattr(cones, "smith_normal_form", counted)
+    tops = cells = 0
+    for wp in _d4_pinned_pairs():
+        monoid = SigmaContext(4, wp.sigma).monoid
+        A, C = wp.region_sets()
+        groups = decompose_region_by_face(monoid, A, C)
+        for _, face_cells in groups:
+            for p in face_cells:
+                p.box()
+                p.count_box()
+                cells += 1
+        top = frozenset().union(*(monoid.support(r) for r in monoid.rays()
+                                  if monoid.support(r) <= C))
+        assert groups[-1][0] == top
+        tops += len(monoid.triangulation(top))
+    assert len(calls) == tops
+    assert 4 * tops < cells
 
 
 def test_region_dump_golden():

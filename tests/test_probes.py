@@ -32,3 +32,25 @@ def test_every_probe_target_exists():
         if not callable(target):
             missing.append(path)
     assert missing == []
+
+
+def test_box_points_probe_sees_every_cell(monkeypatch):
+    """The traced cones.box_points count of a d=3 p-adic sweep is the
+    number of box points of the cells it visits: each cell still gets its
+    points through the probed module-level function."""
+    from nilzeta import zeta
+
+    monkeypatch.setattr(zeta, "_sigma_cache", {})
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        zeta.zeta_all(3, ("padic",))
+    finally:
+        tracer.uninstall()
+    cells = {}
+    for wp in zeta.enumerate_Wd(3):
+        monoid, A, C = zeta.region_of_wpair(wp)
+        for _, face_cells in zeta.decompose_region_by_face(monoid, A, C):
+            cells.update((id(p), p) for p in face_cells)
+    assert tracer.counts["cones.box_points"] == \
+        sum(len(p.box()) for p in cells.values()) > 0
