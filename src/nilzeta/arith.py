@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from operator import add, mul
 
 # weights of the fibre test in poly_div_binomial; any value is sound
@@ -401,16 +402,71 @@ def rf_normalize(f: FactoredRationalFunction) -> FactoredRationalFunction:
     return FactoredRationalFunction(num, den)
 
 
+def _add_terms(acc, terms, e=None):
+    """acc += terms, or acc += terms * (1 - Z^e) given e, in place.
+
+    Neither acc nor terms holds a zero coefficient, and acc holds none
+    after: a key whose sum vanishes was in acc.
+    """
+    for x, c in terms.items():
+        s = acc.get(x, 0) + c
+        if s:
+            acc[x] = s
+        else:
+            del acc[x]
+        if e is not None:
+            x = tuple(map(add, x, e))
+            s = acc.get(x, 0) - c
+            if s:
+                acc[x] = s
+            else:
+                del acc[x]
+    return acc
+
+
+def _lift(groups):
+    """Sum of num * prod over missing of (1 - Z^e), over the groups
+    {missing: num}, as a dict of terms.
+
+    missing is a frozenset of factor copies (e, j); num is a dict of terms
+    with no zero coefficient, read and never written.  The sum is taken
+    Horner-style: the copy missing from the most groups (ties broken by
+    the copy itself, so the order of work is fixed) is taken out of those
+    groups, they are summed without it, and that sum is multiplied by
+    (1 - Z^e) once; the remaining groups go round the loop.  Missing sets
+    stay distinct when a copy leaves them all, so no groups merge here, and
+    the recursion is at most as deep as the largest missing set.
+    """
+    acc = dict(groups.get(frozenset(), {}))
+    groups = {missing: num for missing, num in groups.items() if missing}
+    while groups:
+        counts = Counter(chain.from_iterable(groups))
+        pick = max(counts, key=lambda f: (counts[f], f))
+        inner, rest = {}, {}
+        for missing, num in groups.items():
+            if pick in missing:
+                inner[missing - {pick}] = num
+            else:
+                rest[missing] = num
+        groups = rest
+        inner_sum = inner[frozenset()] if len(inner) == 1 \
+            and frozenset() in inner else _lift(inner)
+        _add_terms(acc, inner_sum, pick[0])
+    return acc
+
+
 def rf_sum_common(terms, vars=None):
     """Sum over the factor-wise least common denominator, normalizing once.
 
     Terms arrive in lowest terms (no denominator factor divides the
     numerator), so a sum of one term is that term, returned as it is; a
     longer sum is normalized once, and so leaves in lowest terms too.
-    Terms with identical denominators add numerator-to-numerator first, so
-    many terms drawn from a shared denominator-factor pool, as in the piece
-    sums of one cone region, cost one lift per distinct denominator.  The
-    arena is the first term's; an empty sum needs it given as vars.
+    Terms with identical denominators add numerator-to-numerator first.
+    Each group of terms then misses some factors of the common
+    denominator, and the lift shares their multiplication: a factor
+    missing from many groups multiplies their sum once (_lift), not each
+    group apart.  The arena is the first term's; an empty sum needs it
+    given as vars.
     """
     terms = list(terms)
     if len(terms) == 1:
@@ -419,33 +475,30 @@ def rf_sum_common(terms, vars=None):
         vars = terms[0].vars
     elif vars is None:
         raise ValueError("empty sum needs an explicit arena")
-    groups = {}
+    groups = {}  # each denominator -> the numerators over it
     lcm = {}
     for t in terms:
         _check_same_arena(terms[0], t)
-        sig = frozenset(t.den.items())
-        acc = groups.get(sig)
-        if acc is None:
-            groups[sig] = [dict(t.num.terms), t.den]
-        else:
-            a = acc[0]
-            for e, c in t.num.terms.items():
-                a[e] = a.get(e, 0) + c
+        groups.setdefault(frozenset(t.den.items()), []).append(t.num.terms)
         for e, m in t.den.items():
             if lcm.get(e, 0) < m:
                 lcm[e] = m
-    acc = {}
-    for num_terms, den in groups.values():
-        num = LaurentPolynomial(vars, {e: c for e, c in num_terms.items()
-                                       if c})
-        for e, m in lcm.items():
-            m -= den.get(e, 0)
-            if m:
-                num = poly_mul_binomial(num, e, m)
-        for e, c in num.terms.items():
-            acc[e] = acc.get(e, 0) + c
+    # the common denominator as copies (e, j) of 1 - Z^e, j < lcm[e]; a
+    # group holds those numbered below its own multiplicity of e
+    copies = frozenset((e, j) for e, m in lcm.items() for j in range(m))
+    missing = {}
+    for sig, nums in groups.items():
+        num = nums[0]
+        if len(nums) > 1:
+            # the first numerator is copied only when others join it
+            num = dict(num)
+            for other in nums[1:]:
+                _add_terms(num, other)
+        if num:
+            missing[copies.difference((e, j) for e, m in sig
+                                      for j in range(m))] = num
     return rf_normalize(FactoredRationalFunction(
-        LaurentPolynomial(vars, {e: c for e, c in acc.items() if c}), lcm))
+        LaurentPolynomial(vars, _lift(missing)), lcm))
 
 
 def _uncancelled(a, b):

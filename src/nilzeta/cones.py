@@ -7,7 +7,7 @@ inside the nonnegative orthant; this module computes its extreme rays
 triangulations of its faces, and the generating function of any "region"
 (the solutions whose support contains a prescribed set A and is contained in
 a prescribed set C), pushed through a monomial map: summed piece by piece,
-per face first and then across faces.  The identity map gives the
+over all of the region's pieces at once.  The identity map gives the
 multivariate generating function itself.
 
 A piece's numerator sums its box points, the lattice points of its
@@ -232,10 +232,10 @@ def extreme_rays(equations, num_vars):
     combinatorial adjacency test (valid because the cone is pointed).
     """
     rays = [tuple(int(i == j) for j in range(num_vars)) for i in range(num_vars)]
+    supports = [1 << i for i in range(num_vars)]
     for a in equations:
-        vals = [sum(x * y for x, y in zip(a, r)) for r in rays]
-        supports = [_support_mask(r) for r in rays]
-        new = [r for r, v in zip(rays, vals) if v == 0]
+        vals = [sum(map(mul, a, r)) for r in rays]
+        new = [(r, s) for r, s, v in zip(rays, supports, vals) if v == 0]
         for p, vp in enumerate(vals):
             if vp <= 0:
                 continue
@@ -247,17 +247,18 @@ def extreme_rays(equations, num_vars):
                 if any(s | union == union for i, s in enumerate(supports)
                        if i != p and i != n):
                     continue
-                # vp > 0 > vn, so vp * rn - vn * rp is nonnegative
+                # vp > 0 > vn, so vp * rn - vn * rp is nonnegative, with
+                # the union of the two supports as its own
                 comb = tuple(vp * y + (-vn) * x
                              for x, y in zip(rays[p], rays[n]))
-                new.append(_primitive(comb))
-        rays = []
+                new.append((_primitive(comb), union))
+        rays, supports = [], []
         seen = set()
-        for r in new:
-            r = _primitive(r)
+        for r, s in new:
             if r not in seen:
                 seen.add(r)
                 rays.append(r)
+                supports.append(s)
     return sorted(rays)
 
 
@@ -627,17 +628,16 @@ def genfun_piece(piece: SimplicialPiece, cols, vars):
 
 
 def genfun_faces(face_groups, cols, vars):
-    """Sum of genfun_piece over face-grouped pieces, per face first and then
-    across faces.
+    """Sum of genfun_piece over face-grouped pieces, in one rf_sum_common.
 
     Cells of one face draw their denominators from that face's small ray
-    pool, so the inner sums are cheap and only one lift per face reaches the
-    region-wide common denominator.
+    pool, so many pieces miss the same factors of the region-wide common
+    denominator; the sum's shared lift multiplies each such factor into
+    their sum once.
     """
-    return rf_sum_common(
-        [rf_sum_common([genfun_piece(p, cols, vars) for p in cells],
-                       vars=vars)
-         for _, cells in face_groups], vars=vars)
+    return rf_sum_common([genfun_piece(p, cols, vars)
+                          for _, cells in face_groups for p in cells],
+                         vars=vars)
 
 
 def genfun_region(monoid: DiophantineMonoid, A, C, vars=None):

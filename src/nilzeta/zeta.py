@@ -346,7 +346,7 @@ def _region_term(face_groups, cols, vars, u_poly):
     - a piece's numerator has only positive coefficients, so its sum
       along a line x + Z e that meets it is positive, and no 1 - Z^e
       divides it;
-    - a sum of several pieces or faces leaves rf_normalize, whose one
+    - a sum of several pieces leaves rf_normalize, whose one
       pass leaves no denominator factor dividing the numerator;
     - the Gaussian weight is a nonzero polynomial in q alone (a constant
       in the t arena), and every factor of 1 - q^a t^b with b > 0 has

@@ -222,6 +222,100 @@ def test_rf_sum_common_commutes_and_evaluates(n1, d1, n2, d2):
     assert ev(s1) == ev(f) + ev(g)
 
 
+def _per_group_sum(terms):
+    """The reference for rf_sum_common: terms grouped by denominator, each
+    group lifted to the factor-wise least common denominator on its own,
+    then normalized."""
+    vars = terms[0].vars
+    groups, lcm = {}, {}
+    for t in terms:
+        sig = frozenset(t.den.items())
+        groups[sig] = groups.get(sig, LaurentPolynomial.zero(vars)) + t.num
+        for e, m in t.den.items():
+            lcm[e] = max(lcm.get(e, 0), m)
+    num = LaurentPolynomial.zero(vars)
+    for sig, group in groups.items():
+        den = dict(sig)
+        for e, m in lcm.items():
+            group = poly_mul_binomial(group, e, m - den.get(e, 0))
+        num = num + group
+    return rf_normalize(FactoredRationalFunction(num, lcm))
+
+
+def _same_form(f, g):
+    return f.vars == g.vars and f.num.terms == g.num.terms and f.den == g.den
+
+
+SUM_FACTORS = [(0, 1), (1, 1), (1, 2), (2, 1), (0, 2), (3, 1)]
+
+
+@st.composite
+def sum_cases(draw):
+    """Two or more terms over a few shared denominators, whose factors come
+    with multiplicities up to 3; optionally a term that cancels another
+    over its denominator, wholly or in part, and a term over the common
+    denominator itself, whose group misses no factor."""
+    dens = draw(st.lists(st.dictionaries(st.sampled_from(SUM_FACTORS),
+                                         st.integers(1, 3), max_size=4),
+                         min_size=1, max_size=4))
+    terms = [FactoredRationalFunction(draw(small_poly),
+                                      draw(st.sampled_from(dens)))
+             for _ in range(draw(st.integers(2, 8)))]
+    if draw(st.booleans()):
+        t = draw(st.sampled_from(terms))
+        terms.append(FactoredRationalFunction(draw(small_poly) - t.num,
+                                              t.den))
+    if draw(st.booleans()):
+        lcm = {}
+        for t in terms:
+            for e, m in t.den.items():
+                lcm[e] = max(lcm.get(e, 0), m)
+        terms.append(FactoredRationalFunction(draw(small_poly), lcm))
+    return terms
+
+
+@given(sum_cases())
+@settings(max_examples=80, deadline=None)
+def test_rf_sum_common_matches_per_group_lift(terms):
+    assert _same_form(rf_sum_common(terms), _per_group_sum(terms))
+
+
+def test_rf_sum_common_group_that_cancels():
+    """Two terms cancel over their shared denominator, leaving that group
+    with an empty numerator, and two others cancel in part."""
+    f = lp({(0, 0): 1, (1, 1): 2})
+    g = lp({(1, 0): 3})
+    terms = [FactoredRationalFunction(f, {(0, 1): 2}),
+             FactoredRationalFunction(-f, {(0, 1): 2}),
+             FactoredRationalFunction(f, {(1, 1): 1}),
+             FactoredRationalFunction(g - f, {(1, 1): 1}),
+             FactoredRationalFunction(g, {(0, 1): 1, (1, 1): 1})]
+    s = rf_sum_common(terms)
+    assert _same_form(s, _per_group_sum(terms))
+    assert rf_equal(s, FactoredRationalFunction(
+        poly_mul_binomial(g, (0, 1)) + g, {(0, 1): 1, (1, 1): 1}))
+
+
+def test_rf_sum_common_of_many_denominators():
+    """About 1500 terms, each over its own denominator drawn from 40
+    factors, the size of the d = 4 per-word and cross-word sums: no
+    RecursionError, and the same form as the per-group lift."""
+    rng = random.Random(1301)
+    factors = [(a, b) for a in range(8) for b in range(1, 6)]
+    dens = set()
+    while len(dens) < 1500:
+        dens.add(frozenset(rng.sample(factors, rng.randint(34, 39))))
+    terms = []
+    for den in sorted(dens, key=sorted):
+        num = {(rng.randint(0, 3), rng.randint(0, 3)): rng.randint(1, 4)
+               for _ in range(rng.randint(1, 3))}
+        terms.append(FactoredRationalFunction(
+            lp(num), {e: 1 + (e[0] == 0) for e in den}))
+    s = rf_sum_common(terms)
+    assert sum(s.den.values()) == 45
+    assert _same_form(s, _per_group_sum(terms))
+
+
 @given(small_poly, den_strategy)
 @settings(max_examples=30, deadline=None)
 def test_normalize_preserves_value(n, d):

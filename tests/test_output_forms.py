@@ -194,6 +194,27 @@ def test_region_terms_arrive_in_lowest_terms():
                 _region_term(groups, cols, vars, u_poly)), wp
 
 
+def test_flat_region_sum_keeps_the_per_face_form():
+    """genfun_faces sums a region's pieces in one pass.  One normalize of
+    the flat sum need not give the same form as normalizing per face and
+    then across faces (a function has several lowest-terms forms over
+    binomials), so the two are compared form for form: numerator terms and
+    denominator multiset."""
+    for wp in enumerate_Wd(3) + _d4_pairs():
+        monoid, A, C = region_of_wpair(wp)
+        groups = decompose_region_by_face(monoid, A, C)
+        cols = list(zip(*wp.context.qt_exponents()))
+        for vars in (QT, T):
+            c = cols[-len(vars):]
+            nested = rf_sum_common(
+                [rf_sum_common([genfun_piece(p, c, vars) for p in cells],
+                               vars=vars)
+                 for _, cells in groups], vars=vars)
+            flat = genfun_faces(groups, c, vars)
+            assert (flat.num.terms, flat.den) == \
+                (nested.num.terms, nested.den), (wp, vars)
+
+
 def test_region_sums_push_through_the_map():
     """The face-grouped sum under the (q, t) map is the identity-map region
     generating function with the map substituted afterwards."""
