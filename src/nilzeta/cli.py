@@ -23,6 +23,10 @@ EXIT_ORACLE_CAPACITY = 3
 EXIT_USAGE = 64
 EXIT_CANTCREAT = 73
 
+# the largest --d whose sweep compute, verify and report can finish;
+# oracle has its own capacity guard
+MAX_D = 4
+
 KINDS = ("padic", "overlap", "no-overlap", "reduced", "topological")
 
 
@@ -304,6 +308,8 @@ def _usage_problem(args):
     """Why the parsed arguments name no computation, or None."""
     if args.d < 2:
         return "--d must be at least 2"
+    if args.d > MAX_D and args.verb != "oracle":
+        return f"--d must be at most {MAX_D} for {args.verb}"
     p = getattr(args, "p", None)
     if p is not None and not (p >= 2 and all(p % k for k in
                                              range(2, isqrt(p) + 1))):

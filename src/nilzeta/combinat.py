@@ -14,7 +14,7 @@ those of its intersection with the centre.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .arith import LaurentPolynomial, poly_mul
 
@@ -153,15 +153,9 @@ def alpha_alt(lam, mu) -> LaurentPolynomial:
     the count is the product over j of
     binom(L_j - M_{j-1}, M_j - M_{j-1})_{q^-1} q^{M_j (L_j - M_j)(m_j - m_{j+1})}.
     """
-    lam = tuple(lam)
-    mu = tuple(mu)
     m = sorted(list(lam) + list(mu), reverse=True)
     n = len(m)
-    L = [0] * (n + 1)
-    M = [0] * (n + 1)
-    for j in range(1, n + 1):
-        L[j] = sum(1 for x in lam if x >= m[j - 1])
-        M[j] = sum(1 for x in mu if x >= m[j - 1])
+    L, M = lm_profile(lam, mu)
     out = LaurentPolynomial.one(("q",))
     for j in range(1, n + 1):
         mj = m[j - 1]
@@ -286,10 +280,25 @@ def is_admissible_shuffle(d, sigma) -> bool:
 
 
 def enumerate_script_S(d):
-    """All admissible shuffles for d generators, by backtracking.
+    """All admissible shuffles for d generators, in lexicographic order:
+    the union of admissible_shuffles over every order of the values > d'."""
+    dprime = d * (d - 1) // 2
+    orders = permutations(range(dprime + 1, 2 * dprime + 1))
+    return sorted(s for pairs in orders for s in admissible_shuffles(d, pairs))
 
-    Grows prefixes left to right, pruning on the prefix-balance condition
-    and on condition (ii) restricted to the prefix so far.
+
+def admissible_shuffles(d, pairs):
+    """The admissible shuffles whose values > d' come in the order `pairs`,
+    in lexicographic order, by backtracking.
+
+    Grows prefixes left to right, placing the values > d' in the given
+    order and pruning on the prefix-balance condition and on condition (ii)
+    restricted to the prefix so far.  The given order only narrows which
+    value may come next; the prefixes of an admissible shuffle pass both
+    prunings whatever the order, so each shuffle is found under the order
+    of its own values > d', and S_d is the disjoint union of these families
+    over all orders.  Trying the candidates in increasing value yields
+    lexicographic order.
     """
     dprime = d * (d - 1) // 2
     n = 2 * dprime
@@ -312,7 +321,7 @@ def enumerate_script_S(d):
             out.append(tuple(prefix))
             return
         for v in range(1, n + 1):
-            if v in used:
+            if v in used or (v > dprime and v != pairs[high]):
                 continue
             nl, nh = low + (v <= dprime), high + (v > dprime)
             if nl > nh:

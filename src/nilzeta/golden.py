@@ -44,12 +44,8 @@ def golden_padic(d):
             _qt({(0, 0): 1, (3, 3): -1}),
             {(3, 2): 1, (2, 2): 1, (0, 1): 1, (1, 1): 1})
     if d == 3:
-        w = _qt({(0, 0): 1, (3, 2): 1, (4, 2): 1, (5, 2): 1,
-                 (4, 3): -1, (5, 3): -1, (6, 3): -1,
-                 (7, 4): -1, (9, 4): -1,
-                 (10, 5): -1, (11, 5): -1, (12, 5): -1,
-                 (11, 6): 1, (12, 6): 1, (13, 6): 1, (16, 8): 1})
-        num = poly_mul(_qt({(0, 0): 1, (8, 4): -1}), w)
+        num = poly_mul(_qt({(0, 0): 1, (8, 4): -1}),
+                       golden_padic_numerator_w23())
         return FactoredRationalFunction(
             num,
             {(0, 1): 1, (1, 1): 1, (2, 1): 1,

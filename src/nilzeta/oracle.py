@@ -42,21 +42,6 @@ class StructureConstants:
             for j in range(i + 1, d + 1):
                 self.pair_col[(i, j)] = d + index_b(d, i, j) - _dprime(d) - 1
 
-    def bracket(self, u, v):
-        out = [0] * self.rank
-        d = self.d
-        for i in range(d):
-            if not u[i]:
-                continue
-            for j in range(d):
-                if not v[j] or i == j:
-                    continue
-                if i < j:
-                    out[self.pair_col[(i + 1, j + 1)]] += u[i] * v[j]
-                else:
-                    out[self.pair_col[(j + 1, i + 1)]] -= u[i] * v[j]
-        return out
-
 
 def _compositions(total, parts):
     if parts == 1:

@@ -21,9 +21,9 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, permutations
 from math import comb, factorial, prod
-from operator import mul
+from operator import mul, sub
 
 from .arith import (
     FactoredRationalFunction,
@@ -38,11 +38,10 @@ from .arith import (
     rf_sum_common,
 )
 from .combinat import (
+    admissible_shuffles,
     ascent_set,
     corresponding_tuple,
-    descent_set,
     dyck_of_sigma,
-    enumerate_script_S,
     gaussian_binomial,
     gaussian_multinomial,
     j_set,
@@ -109,7 +108,6 @@ class SigmaContext:
         self.phi = phi_sigma(d, sigma)
         self.monoid = DiophantineMonoid(self.m, self.phi)
         self.asc = ascent_set(sigma)
-        self.des = descent_set(sigma)
         self.J = j_set(d, sigma)
         self.dyck = dyck_of_sigma(d, sigma)
         self.L, self.M = lm_sigma(d, sigma)
@@ -218,54 +216,33 @@ class WPair:
 def wd_contains(d, I, sigma):
     """Membership test for the admissible pair family.
 
-    Decides by exact rational feasibility whether the sign pattern of I is
-    compatible with the order constraints of sigma on the pairwise-sum
-    coordinates; strict inequalities become >= 1 by homogeneity.  The
-    answer depends on sigma only through the relative order of its
-    pairwise-sum values, so it is memoized on that subsequence.
+    sigma is a shuffle, or just its subsequence of values > d': the answer
+    depends on nothing else.  Decides by exact rational feasibility whether
+    r in Q^d, with r_i > 0 exactly for the i in I among [d-1] and r_d >= 0,
+    can order the pairwise sums as sigma does: the sum of an earlier value
+    at least that of a later one, strictly when the earlier value is the
+    smaller; strict inequalities become >= 1 by homogeneity, and r != 0
+    becomes sum(r) >= 1.
+
+    Two reductions keep the system small, and both are exact.  The unknowns
+    are only r_i for i in I and r_d, since every other r_i is 0.  The order
+    constraints are only those between consecutive values of sigma: for
+    values a, b, c in that order, the constraints for a-before-b and
+    b-before-c sum to the one for a-before-c, and when that one is strict
+    (a < c) so is one of the two summed (a < b or b < c).
     """
     dp = _dprime(d)
-    key = (d, frozenset(I), tuple(x for x in sigma if x > dp))
-    cached = _wd_cache.get(key)
-    if cached is not None:
-        return cached
-    result = _wd_feasible(d, key[1], sigma)
-    _wd_cache[key] = result
-    return result
-
-
-_wd_cache = {}
-
-
-def _wd_feasible(d, I, sigma):
-    dp = _dprime(d)
-    I = set(I)
-    ineqs = []
-    zero = [0] * d
-
-    def unit(i, c=1):
-        row = list(zero)
-        row[i - 1] = c
-        return tuple(row)
-
-    for i in range(1, d + 1):
-        ineqs.append((unit(i), 0))
-    for i in range(1, d):
-        if i in I:
-            ineqs.append((unit(i), 1))
-        else:
-            ineqs.append((unit(i), 0))
-            ineqs.append((unit(i, -1), 0))
-    pos = {v: k for k, v in enumerate(sigma)}
-    pair_indices = range(dp + 1, 2 * dp + 1)
-    v = {i: corresponding_tuple(d, i)[:d] for i in pair_indices}
-    for i in pair_indices:
-        for j in pair_indices:
-            if i != j and pos[i] < pos[j]:
-                row = tuple(v[i][k] - v[j][k] for k in range(d))
-                ineqs.append((row, 1 if i < j else 0))
-    ineqs.append(((1,) * d, 1))
-    return feasible(ineqs, d)
+    order = [x for x in sigma if x > dp]
+    cols = sorted(I) + [d]
+    n = len(cols)
+    v = {x: [corresponding_tuple(d, x)[c - 1] for c in cols] for x in order}
+    # r_i >= 1 for i in I, r_d >= 0
+    ineqs = [(tuple(int(k == c) for k in range(n)), int(c < n - 1))
+             for c in range(n)]
+    ineqs += [(tuple(map(sub, v[a], v[b])), int(a < b))
+              for a, b in zip(order, order[1:])]
+    ineqs.append(((1,) * n, 1))
+    return feasible(ineqs, n)
 
 
 def _subsets_lex(n):
@@ -280,15 +257,25 @@ _wd_enum_cache = {}
 
 
 def enumerate_Wd(d):
-    """All admissible pairs, ordered by I (lex) then sigma (lex)."""
+    """All admissible pairs, ordered by I (lex) then sigma (lex).
+
+    Membership depends on sigma only through the order of its values > d',
+    so wd_contains decides it once per (I, order), on a system with only
+    the unknowns r_i, i in I or i = d, and only the constraints between
+    consecutive values; its docstring says why both cuts are exact.  Only
+    the shuffles of admitted orders are built (admissible_shuffles), and
+    since shuffles of distinct orders are distinct, sorting those of one I
+    gives its pairs in the order of sorted S_d.
+    """
     if d in _wd_enum_cache:
         return list(_wd_enum_cache[d])
-    sigmas = sorted(enumerate_script_S(d))
+    dp = _dprime(d)
+    orders = list(permutations(range(dp + 1, 2 * dp + 1)))
     out = []
     for I in _subsets_lex(d - 1):
-        for sigma in sigmas:
-            if wd_contains(d, I, sigma):
-                out.append(WPair(d, I, sigma))
+        sigmas = sorted(s for order in orders if wd_contains(d, I, order)
+                        for s in admissible_shuffles(d, order))
+        out.extend(WPair(d, I, sigma) for sigma in sigmas)
     _wd_enum_cache[d] = out
     return list(out)
 

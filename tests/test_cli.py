@@ -57,6 +57,25 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
     assert not os.listdir(tmp_path)
 
 
+def test_d_the_engine_cannot_finish_is_a_usage_error(tmp_path, capsys,
+                                                     monkeypatch):
+    # compute, verify and report refuse it before any sweep or cache
+    # access; oracle keeps its own capacity guard
+    def no_sweep(d):
+        raise AssertionError("enumerate_Wd called")
+
+    monkeypatch.setattr(zeta, "enumerate_Wd", no_sweep)
+    monkeypatch.delenv("NILZETA_CACHE", raising=False)
+    monkeypatch.chdir(tmp_path)
+    for argv in [("compute", "--d", "5"), ("verify", "--d", "9"),
+                 ("report", "--d", "5")]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (64, ""), argv
+        assert len(err.splitlines()) == 1, (argv, err)
+    assert not os.listdir(tmp_path)
+    assert run(capsys, "oracle", "--d", "5", "--p", "2", "--n", "40")[0] == 3
+
+
 def test_compute_formats(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     code, out, _ = run(capsys, "compute", "--d", "2", "--format", "json",

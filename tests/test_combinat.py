@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from nilzeta.arith import LaurentPolynomial
 from nilzeta.combinat import (
+    admissible_shuffles,
     alpha_alt,
     alpha_count,
     alpha_rect,
@@ -237,6 +238,17 @@ def test_enumerate_matches_filter_d3():
                    if is_admissible_shuffle(3, p))
     assert sorted(enumerate_script_S(3)) == brute
     assert len(brute) > 0
+
+
+def test_admissible_shuffles_follow_the_given_order():
+    orders = [(3, p) for p in permutations(range(4, 7))] + \
+        [(2, (2,)), (4, (7, 8, 10, 9, 11, 12))]
+    for d, pairs in orders:
+        dprime = d * (d - 1) // 2
+        out = admissible_shuffles(d, pairs)
+        assert out and out == sorted(set(out)), (d, pairs)
+        assert all(tuple(v for v in s if v > dprime) == pairs
+                   for s in out), (d, pairs)
 
 
 def test_dyck_and_jset():

@@ -10,7 +10,6 @@ from nilzeta.arith import rf_series_coeffs
 from nilzeta.oracle import (
     GUARD,
     CapacityExceeded,
-    StructureConstants,
     check_series_capacity,
     compare_routes,
     count_subalgebras,
@@ -76,15 +75,6 @@ def test_hnf_count_is_the_composition_sum():
                     for diag in product(range(k + 1), repeat=n)
                     if sum(diag) == k)
                 assert hnf_count(n, k, p) == by_diagonal, (n, k, p)
-
-
-def test_structure_constants_bracket():
-    sc = StructureConstants(2)
-    x1 = [1, 0, 0]
-    x2 = [0, 1, 0]
-    assert sc.bracket(x1, x2) == [0, 0, 1]
-    assert sc.bracket(x2, x1) == [0, 0, -1]
-    assert sc.bracket(x1, x1) == [0, 0, 0]
 
 
 def test_gss_partial_small():

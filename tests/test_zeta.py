@@ -1,7 +1,9 @@
 """Assembled zeta functions against closed forms, invariants, bijections."""
 
+import hashlib
+import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -13,6 +15,7 @@ from nilzeta.arith import (
 )
 from nilzeta.combinat import (
     alpha_count,
+    corresponding_tuple,
     enumerate_script_S,
     mu_of_lambda,
     omega_of_pair,
@@ -21,7 +24,7 @@ from nilzeta.combinat import (
     partitions_upto,
     trivial_dyck_word,
 )
-from nilzeta.cones import decompose_region_by_face
+from nilzeta.cones import decompose_region_by_face, feasible
 from nilzeta.golden import (
     C_CONSTANTS,
     golden_padic,
@@ -139,6 +142,74 @@ def _subsets(n):
     for k in range(n + 1):
         out.extend(combinations(range(1, n + 1), k))
     return out
+
+
+def _full_system_contains(d, I, sigma):
+    """Membership by the system over all d unknowns, with r_i = 0 for i in
+    [d-1] outside I as two inequalities, and a constraint for every ordered
+    pair of pairwise-sum values: the reference for wd_contains, which keeps
+    only the unknowns in I and d and only consecutive pairs."""
+    dp = d * (d - 1) // 2
+    order = [x for x in sigma if x > dp]
+    ineqs = []
+    for i in range(1, d + 1):
+        unit = tuple(int(k == i) for k in range(1, d + 1))
+        ineqs.append((unit, int(i in I)))
+        if i < d and i not in I:
+            ineqs.append((tuple(-x for x in unit), 0))
+    v = {x: corresponding_tuple(d, x)[:d] for x in order}
+    for a, b in combinations(order, 2):
+        ineqs.append((tuple(p - q for p, q in zip(v[a], v[b])), int(a < b)))
+    ineqs.append(((1,) * d, 1))
+    return feasible(ineqs, d)
+
+
+# the (I, order of the values > d') that W_4 admits; each order for one I
+W4_ADMITTED = [
+    ((), (12, 11, 10, 9, 8, 7)),
+    ((1,), (9, 8, 7, 12, 11, 10)),
+    ((1, 2), (7, 9, 8, 11, 10, 12)),
+    ((1, 2, 3), (7, 8, 9, 10, 11, 12)),
+    ((1, 2, 3), (7, 8, 10, 9, 11, 12)),
+    ((1, 3), (8, 7, 9, 10, 12, 11)),
+    ((1, 3), (8, 7, 10, 9, 12, 11)),
+    ((2,), (7, 11, 10, 9, 8, 12)),
+    ((2, 3), (7, 10, 8, 11, 9, 12)),
+    ((3,), (10, 8, 7, 12, 11, 9)),
+]
+
+# sha256 of repr([(sorted(wp.I), wp.sigma) for wp in enumerate_Wd(4)]),
+# taken when membership was still tested shuffle by shuffle over all of S_4
+W4_DIGEST = \
+    '35e19e4b5560c74c1662fd1c428030ba1e21f087e02c1dc0c882ba72b3acd4ff'
+
+
+def test_wd_contains_matches_the_full_system():
+    for d in (2, 3):
+        dp = d * (d - 1) // 2
+        for I in _subsets(d - 1):
+            for order in permutations(range(dp + 1, 2 * dp + 1)):
+                assert wd_contains(d, I, order) == \
+                    _full_system_contains(d, set(I), order), (I, order)
+    others = [(I, order) for I in _subsets(3)
+              for order in permutations(range(7, 13))
+              if (I, order) not in W4_ADMITTED]
+    assert len(others) == 8 * 720 - 10
+    sample = W4_ADMITTED + random.Random(1414).sample(others, 200)
+    for I, order in sample:
+        expected = (I, order) in W4_ADMITTED
+        assert wd_contains(4, I, order) == expected, (I, order)
+        assert _full_system_contains(4, set(I), order) == expected, (I, order)
+
+
+def test_w4_is_pinned():
+    pairs = enumerate_Wd(4)
+    assert len(pairs) == 9030
+    admitted = {(tuple(sorted(wp.I)), tuple(x for x in wp.sigma if x > 6))
+                for wp in pairs}
+    assert sorted(admitted) == W4_ADMITTED
+    text = repr([(sorted(wp.I), wp.sigma) for wp in pairs])
+    assert hashlib.sha256(text.encode()).hexdigest() == W4_DIGEST
 
 
 def test_phi_sigma_shape():
