@@ -170,26 +170,6 @@ def alpha_alt(lam, mu) -> LaurentPolynomial:
     return out
 
 
-def alpha_rect(n, lam):
-    """Count of subgroups of type lam inside the homocyclic group of type
-    (lam_1, ..., lam_1) with n parts, as a pair (binomial, q_exponent_poly).
-
-    Returns a LaurentPolynomial in ("q",): binom(n, I)_{q^-1} times
-    q^{sum_j j (n - j) (lam_j - lam_{j+1})}, where I is the set of strict
-    descents of lam.
-    """
-    lam = tuple(x for x in lam if x) + (0,)
-    parts = [x for x in lam if x]
-    if len(parts) > n:
-        return LaurentPolynomial.zero(("q",))
-    lam = tuple(parts) + (0,) * (n + 1 - len(parts))
-    subset = frozenset(i for i in range(1, n) if lam[i - 1] > lam[i])
-    binom = gaussian_multinomial(n, subset)
-    shift = sum(j * (n - j) * (lam[j - 1] - lam[j]) for j in range(1, n + 1))
-    return LaurentPolynomial(
-        ("q",), {(shift - e[0],): c for e, c in binom.terms.items()})
-
-
 def mu_of_lambda(lam):
     """Elementary divisor types of the induced lattice in the centre.
 

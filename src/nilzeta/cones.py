@@ -17,12 +17,11 @@ simplex gets one Smith normal form, for its parallelepiped group
 (BoxGroup), and every piece reads its box points off that group: the
 elements whose coordinates vanish off the piece's rays.
 
-All arithmetic is exact, over int and Fraction.
+All arithmetic is exact, over int.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import gcd
 from operator import mul
@@ -191,10 +190,12 @@ def smith_normal_form(M):
 def feasible(ineqs, num_vars):
     """Decide whether {x in R^n : c . x >= b for all (c, b)} is nonempty.
 
-    ineqs is a list of pairs (coeffs, bound).  Exact elimination; intended
-    for the small systems arising from cone membership tests.
+    ineqs is a list of pairs (coeffs, bound) of integers.  Exact
+    elimination; intended for the small systems arising from cone
+    membership tests.  It stays in int: eliminating a variable multiplies
+    rows only by positive integers and adds them.
     """
-    system = [(tuple(map(Fraction, c)), Fraction(b)) for c, b in ineqs]
+    system = [(tuple(c), b) for c, b in ineqs]
     for v in range(num_vars):
         pos, neg, rest = [], [], []
         for c, b in system:
@@ -260,14 +261,6 @@ def extreme_rays(equations, num_vars):
                 rays.append(r)
                 supports.append(s)
     return sorted(rays)
-
-
-def minimal_supports(rays):
-    """Inclusion-minimal supports among a set of rays."""
-    supports = {frozenset(i for i, x in enumerate(r) if x) for r in rays}
-    return sorted((s for s in supports
-                   if not any(t < s for t in supports)),
-                  key=lambda s: sorted(s))
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +406,11 @@ class SimplicialPiece:
 class DiophantineMonoid:
     """Nonnegative integer solutions of a homogeneous system A x = 0.
 
-    ray_order_key, if given, fixes the total order of the extreme rays used
-    by the pulling triangulation (smaller key pulled first).
-
     Faces are encoded by their supports.  The public methods take and return
     supports as frozensets; inside, a support is an int bitmask.
     """
 
-    def __init__(self, num_vars, equations, ray_order_key=None):
+    def __init__(self, num_vars, equations):
         self.num_vars = num_vars
         self.equations = [tuple(e) for e in equations]
         self._rays = None
@@ -430,14 +420,10 @@ class DiophantineMonoid:
         self._tri = {}
         self._groups = {}
         self._fdim = {}
-        self._ray_order_key = ray_order_key
 
     def rays(self):
         if self._rays is None:
-            rays = extreme_rays(self.equations, self.num_vars)
-            if self._ray_order_key is not None:
-                rays = sorted(rays, key=self._ray_order_key)
-            self._rays = rays
+            rays = self._rays = extreme_rays(self.equations, self.num_vars)
             self._ray_masks = {r: _support_mask(r) for r in rays}
         return self._rays
 
@@ -466,7 +452,7 @@ class DiophantineMonoid:
         """Pulling triangulation of the face with support B.
 
         Returns a list of maximal simplices, each a tuple of rays.  The
-        first ray of the face in the monoid's ray order is pulled; the
+        first ray of the face in extreme_rays' sorted order is pulled; the
         simplices are that ray joined with the triangulations of the facets
         not containing it.
         """
@@ -654,7 +640,7 @@ def genfun_region(monoid: DiophantineMonoid, A, C, vars=None):
 def region_dump(monoid: DiophantineMonoid, A, C):
     """Debug text for a region: one line per piece, "dim; quasigens; #box".
 
-    Deterministic across runs for fixed inputs and ray ordering, so the
+    Deterministic across runs for fixed inputs, so the
     output is suitable as a golden-file fixture.
     """
     lines = []

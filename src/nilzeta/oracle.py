@@ -11,9 +11,9 @@ function machinery on small coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
-from .combinat import alpha_count, index_b, mu_of_lambda, partitions_upto
+from .combinat import alpha_count, mu_of_lambda, partitions_upto
 
 
 # the largest number of Hermite normal forms one enumeration may walk
@@ -26,21 +26,6 @@ class CapacityExceeded(Exception):
 
 def _dprime(d):
     return d * (d - 1) // 2
-
-
-class StructureConstants:
-    """Bracket table of the free class-2-nilpotent Lie ring on d generators.
-
-    Basis: x_1..x_d then y_(i,j) for i < j, with [x_i, x_j] = y_(i,j).
-    """
-
-    def __init__(self, d):
-        self.d = d
-        self.rank = d + _dprime(d)
-        self.pair_col = {}
-        for i in range(1, d):
-            for j in range(i + 1, d + 1):
-                self.pair_col[(i, j)] = d + index_b(d, i, j) - _dprime(d) - 1
 
 
 def _compositions(total, parts):
@@ -132,12 +117,11 @@ def count_subalgebras(d, p, index_exp, guard=GUARD):
     count checks gss_partial's lift factor p^(d|nu|) rather than assuming
     it.
     """
-    sc = StructureConstants(d)
-    n, dp = sc.rank, _dprime(d)
-    # the x rows (i, j) of [x_i, x_j] = y_(i,j), read off the x-first table
-    # in the order of the y rows, which both bases share
-    xrows = [(dp + i - 1, dp + j - 1) for (i, j), _ in
-             sorted(sc.pair_col.items(), key=lambda item: item[1])]
+    dp = _dprime(d)
+    n = d + dp
+    # the x rows (i, j) of [x_i, x_j] = y_(i,j), in the order of the y
+    # rows: pairs i < j lexicographically
+    xrows = [(dp + i, dp + j) for i, j in combinations(range(d), 2)]
     gen_pairs = [(a, b) for a in range(dp, n) for b in range(a + 1, n)]
     total = 0
     for cols, dvals in _hnf_lattices(n, index_exp, p, guard):

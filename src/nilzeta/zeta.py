@@ -280,16 +280,6 @@ def enumerate_Wd(d):
     return list(out)
 
 
-def _grouped_by_sigma(pairs):
-    """Pairs regrouped by shuffle so per-shuffle cone caches are reused
-    once and can be evicted; the summation order is immaterial."""
-    groups = {}
-    for wp in pairs:
-        groups.setdefault((wp.d, wp.sigma), []).append(wp)
-    for key in sorted(groups):
-        yield key, groups[key]
-
-
 def region_of_wpair(wp: WPair):
     """(monoid, A, C) whose lattice points project onto the pair's cone set."""
     A, C = wp.region_sets()
@@ -357,22 +347,21 @@ class ZetaResult:
     provenance: dict = field(default_factory=dict)
 
 
-def _walk_regions(d, pairs, progress=None):
-    """Yield (pair, face-grouped pieces) grouped by shuffle.
+def _pair_regions(d, pairs):
+    """Yield each pair's region for _sweep, in the order of pairs.
 
     From d = 4 on there are too many shuffles to keep all their cone data,
-    so each shuffle's cached context is evicted once its pairs are done.
+    so a shuffle's cached context is evicted once its region is summed.
+    In W_d (d >= 3) every shuffle carries exactly one I, so none is built
+    twice.
     """
-    done = 0
-    for key, group in _grouped_by_sigma(pairs):
-        for wp in group:
-            monoid, A, C = region_of_wpair(wp)
-            yield wp, decompose_region_by_face(monoid, A, C)
-            done += 1
-            if progress:
-                progress(done, len(pairs))
+    for wp in pairs:
+        monoid, A, C = region_of_wpair(wp)
+        ctx = wp.context
+        yield (ctx.dyck, list(zip(*ctx.qt_exponents())),
+               _gaussian_product(wp), decompose_region_by_face(monoid, A, C))
         if d >= 4:
-            _sigma_cache.pop(key, None)
+            _sigma_cache.pop((d, wp.sigma), None)
 
 
 SWEEP_KINDS = ("padic", "overlap", "reduced", "topological", "c_d")
@@ -385,51 +374,59 @@ def zeta_all(d, kinds=SWEEP_KINDS, pairs=None, progress=None):
     dict from each Dyck word to the ZetaResult of its summand (the sum of
     the (q, t) terms of its pairs, as zeta_overlap returns it), "c_d" to the
     constant as a Fraction.  All of them read the same per-pair cone
-    decompositions, so asking for several costs a single walk.  The (q, t)
-    terms are collected once, by Dyck word: the p-adic function is the sum
-    of the overlap summands.  Only the top-dimensional (dimension
-    D = d + d') pieces reach the topological function and c_d: each adds
-    its lattice-box count over the product of the linear forms b*s - a of
-    its rays (c_d: over the product of the b).
+    decompositions, so asking for several costs a single walk.
     """
     unknown = set(kinds) - set(SWEEP_KINDS)
     if unknown:
         raise ValueError(f"unknown kinds {sorted(unknown)}")
-    start = time.time()
-    D = d + _dprime(d)
     if pairs is None:
         pairs = enumerate_Wd(d)
+    return _sweep(d, _pair_regions(d, pairs), len(pairs), kinds, progress)
+
+
+def _sweep(d, regions, n, kinds, progress):
+    """Sum n cone regions into the results named in kinds (see zeta_all).
+
+    Each region is (Dyck word, (q, t) map columns, Gaussian product,
+    face-grouped pieces); progress, if given, is called once per region.
+    The (q, t) terms are collected once, by Dyck word: the p-adic function
+    is the sum of the overlap summands.  Only the top-dimensional
+    (dimension D = d + d') pieces reach the topological function and c_d:
+    each adds its lattice-box count over the product of the linear forms
+    b*s - a of its rays (c_d: over the product of the b).
+    """
+    start = time.time()
+    D = d + _dprime(d)
     t_terms, s_terms = [], []
-    words = {}  # Dyck word -> [(q, t) terms of its pairs, pieces]
+    words = {}  # Dyck word -> [(q, t) terms of its regions, pieces]
     c_d = Fraction(0)
     npieces = 0
-    for wp, groups in _walk_regions(d, pairs, progress):
-        cols = list(zip(*wp.context.qt_exponents()))
-        u_poly = _gaussian_product(wp)
+    for done, (word, cols, u_poly, groups) in enumerate(regions, 1):
         pieces = sum(len(cells) for _, cells in groups)
         npieces += pieces
         if "padic" in kinds or "overlap" in kinds:
-            acc = words.setdefault(
-                "".join(map(str, wp.context.dyck)), [[], 0])
+            acc = words.setdefault("".join(map(str, word)), [[], 0])
             acc[0].append(_region_term(groups, cols, QT, u_poly))
             acc[1] += pieces
         if "reduced" in kinds:
             t_terms.append(_region_term(groups, cols, T, u_poly))
-        if "topological" not in kinds and "c_d" not in kinds:
-            continue
-        q_col, t_col = cols
-        scale = sum(u_poly.terms.values())
-        for p in (p for _, cells in groups for p in cells if p.dim == D):
-            den = {}
-            for ray in p.rays:
-                key = (sum(map(mul, ray, t_col)), sum(map(mul, ray, q_col)))
-                den[key] = den.get(key, 0) + 1
-            count = scale * p.count_box()
-            if "topological" in kinds:
-                s_terms.append(LinearFactoredFunction([count], den))
-            if "c_d" in kinds:
-                c_d += Fraction(count, prod(b ** m
-                                            for (b, _), m in den.items()))
+        if "topological" in kinds or "c_d" in kinds:
+            q_col, t_col = cols
+            scale = sum(u_poly.terms.values())
+            for p in (p for _, cells in groups for p in cells if p.dim == D):
+                den = {}
+                for ray in p.rays:
+                    key = (sum(map(mul, ray, t_col)),
+                           sum(map(mul, ray, q_col)))
+                    den[key] = den.get(key, 0) + 1
+                count = scale * p.count_box()
+                if "topological" in kinds:
+                    s_terms.append(LinearFactoredFunction([count], den))
+                if "c_d" in kinds:
+                    c_d += Fraction(count, prod(b ** m
+                                                for (b, _), m in den.items()))
+        if progress:
+            progress(done, n)
     summands = {w: rf_sum_common(terms, vars=QT)
                 for w, (terms, _) in sorted(words.items())}
     values = {}
@@ -444,8 +441,8 @@ def zeta_all(d, kinds=SWEEP_KINDS, pairs=None, progress=None):
     for kind, value in values.items():
         # the topological sum skips lower-dimensional pieces, so it
         # reports no piece count
-        counts = {"pairs": len(pairs)} if kind == "topological" \
-            else {"pairs": len(pairs), "pieces": npieces}
+        counts = {"pairs": n} if kind == "topological" \
+            else {"pairs": n, "pieces": npieces}
         out[kind] = ZetaResult(d, kind, value, {**counts, "seconds": seconds})
     if "overlap" in kinds:
         out["overlap"] = {
@@ -477,7 +474,8 @@ def dyck_word(d, word):
 def zeta_overlap(d, word, progress=None):
     """The zeta function restricted to one overlap type (a Dyck word)."""
     word = dyck_word(d, word)
-    pairs = [wp for wp in enumerate_Wd(d) if wp.context.dyck == word]
+    pairs = [wp for wp in enumerate_Wd(d)
+             if dyck_of_sigma(d, wp.sigma) == word]
     res = zeta_padic(d, progress=progress, pairs=pairs)
     res.kind = f"overlap:{''.join(map(str, word))}"
     return res
@@ -486,24 +484,8 @@ def zeta_overlap(d, word, progress=None):
 def no_overlap_monoid(d):
     """The slack-extended monoid of the no-overlap inequality."""
     dp = _dprime(d)
-    m = d + dp + 1
     row = tuple([0] * (d - 2) + [1, 2] + [-1] * (dp + 1))
-    special = set()
-    for i in range(d - 2):
-        e = [0] * m
-        e[i] = 1
-        special.add(tuple(e))
-    e = [0] * m
-    e[d - 2] = 1
-    e[m - 1] = 1
-    special.add(tuple(e))
-    for i in range(d, d + dp):
-        e = [0] * m
-        e[d - 1] = 1
-        e[i] = 2
-        special.add(tuple(e))
-    return DiophantineMonoid(
-        m, [row], ray_order_key=lambda r: (0 if r in special else 1, r))
+    return DiophantineMonoid(d + dp + 1, [row])
 
 
 def hij_region_sets(d, I, J):
@@ -518,8 +500,10 @@ def zeta_no_overlap(d, route="via_H", progress=None):
     """The no-overlap zeta function, by either of two routes.
 
     via_H sums over sign patterns (I, J) of the single no-overlap
-    inequality; via_G restricts the general formula to shuffles with the
-    trivial interleaving word.  Both give the same rational function.
+    inequality, its own monoid and regions under the trivial word, through
+    the sweep that sums the pairs; via_G restricts the general formula to
+    shuffles with the trivial interleaving word.  Both give the same
+    rational function.
     """
     if route == "via_G":
         res = zeta_overlap(d, trivial_dyck_word(d), progress=progress)
@@ -527,28 +511,22 @@ def zeta_no_overlap(d, route="via_H", progress=None):
         return res
     if route != "via_H":
         raise ValueError(f"unknown route {route!r}")
-    start = time.time()
     dp = _dprime(d)
     monoid = no_overlap_monoid(d)
     exps = no_overlap_exponents(d)
     _assert_t_positive(monoid, exps)
     cols = list(zip(*exps))
-    terms = []
-    combos = [(I, J) for I in _subsets_lex(d - 1) for J in _subsets_lex(dp - 1)]
-    npieces = 0
-    for k, (I, J) in enumerate(combos):
-        A, C = hij_region_sets(d, I, J)
-        groups = decompose_region_by_face(monoid, A, C)
-        npieces += sum(len(cells) for _, cells in groups)
-        u_poly = poly_mul(gaussian_multinomial(d, I),
-                          gaussian_multinomial(dp, J))
-        terms.append(_region_term(groups, cols, QT, u_poly))
-        if progress:
-            progress(k + 1, len(combos))
-    value = rf_sum_common(terms, vars=QT)
-    return ZetaResult(d, "no_overlap", value, {
-        "pairs": len(combos), "pieces": npieces,
-        "seconds": round(time.time() - start, 3)})
+    word = trivial_dyck_word(d)
+    patterns = [(I, J) for I in _subsets_lex(d - 1)
+                for J in _subsets_lex(dp - 1)]
+    regions = ((word, cols,
+                poly_mul(gaussian_multinomial(d, I),
+                         gaussian_multinomial(dp, J)),
+                decompose_region_by_face(monoid, *hij_region_sets(d, I, J)))
+               for I, J in patterns)
+    res = _sweep(d, regions, len(patterns), ("padic",), progress)["padic"]
+    res.kind = "no_overlap"
+    return res
 
 
 def zeta_reduced(d, progress=None):

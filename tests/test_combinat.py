@@ -11,7 +11,6 @@ from nilzeta.combinat import (
     admissible_shuffles,
     alpha_alt,
     alpha_count,
-    alpha_rect,
     ascent_set,
     conjugate_partition,
     coordinates_of_pair,
@@ -187,14 +186,6 @@ def test_alpha_alt_worked_example():
     assert L == [0, 1, 1, 2, 2, 3, 3]
     assert M == [0, 0, 1, 2, 2, 2, 3]
     assert alpha_alt((4, 2, 1), (3, 2, 0)) == alpha_count((4, 2, 1), (3, 2))
-
-
-def test_alpha_rect_matches_general():
-    for n in (2, 3):
-        for lam in partitions_upto(n, 6):
-            lam_f = tuple(x for x in lam if x)
-            top = (lam_f[0] if lam_f else 0,) * n
-            assert alpha_rect(n, lam) == alpha_count(top, lam_f), (n, lam)
 
 
 def test_mu_of_lambda():

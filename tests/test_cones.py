@@ -19,7 +19,6 @@ from nilzeta.cones import (
     feasible,
     genfun_region,
     matrix_rank,
-    minimal_supports,
     smith_normal_form,
 )
 from nilzeta.zeta import SigmaContext, WPair, enumerate_Wd, region_of_wpair
@@ -87,6 +86,10 @@ def test_feasible():
     assert not feasible([((1,), 3), ((-1,), -2)], 1)
     # x + y >= 1, x <= 0, y <= 0 infeasible
     assert not feasible([((1, 1), 1), ((-1, 0), 0), ((0, -1), 0)], 2)
+    # rational boundaries: 2x >= 1, -3x >= -2 holds at x = 1/2; 2x >= 2,
+    # -3x >= -2 asks for 1 <= x <= 2/3
+    assert feasible([((2,), 1), ((-3,), -2)], 1)
+    assert not feasible([((2,), 2), ((-3,), -2)], 1)
 
 
 def brute_rays(equations, num_vars, bound=6):
@@ -138,11 +141,6 @@ def test_extreme_rays_vs_brute():
     ]
     for eqs, n in systems:
         assert set(extreme_rays(eqs, n)) == brute_rays(eqs, n), eqs
-
-
-def test_minimal_supports():
-    rays = [(1, 0, 1), (0, 1, 1), (1, 1, 2)]
-    assert minimal_supports(rays) == [frozenset({0, 2}), frozenset({1, 2})]
 
 
 def test_box_points_unimodular():

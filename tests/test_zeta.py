@@ -7,6 +7,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from nilzeta import zeta
 from nilzeta.arith import (
     lff_equal,
     rf_equal,
@@ -21,6 +22,7 @@ from nilzeta.combinat import (
     omega_of_pair,
     pair_from_coordinates,
     coordinates_of_pair,
+    dyck_of_sigma,
     partitions_upto,
     trivial_dyck_word,
 )
@@ -83,8 +85,16 @@ def test_w2_pairs():
         [([], (2, 1)), ([1], (2, 1))]
 
 
+def _one_subset_per_shuffle(pairs):
+    """Every shuffle of the pairs comes with a single I: what lets the d=4
+    sweep evict a shuffle's context right after its region."""
+    return len({wp.sigma for wp in pairs}) == len(pairs)
+
+
 def test_w3_size():
-    assert len(enumerate_Wd(3)) == 44
+    pairs = enumerate_Wd(3)
+    assert len(pairs) == 44
+    assert _one_subset_per_shuffle(pairs)
 
 
 def _pair_system_has_solution(d, I, sigma, bound):
@@ -208,6 +218,7 @@ def test_w4_is_pinned():
     admitted = {(tuple(sorted(wp.I)), tuple(x for x in wp.sigma if x > 6))
                 for wp in pairs}
     assert sorted(admitted) == W4_ADMITTED
+    assert _one_subset_per_shuffle(pairs)
     text = repr([(sorted(wp.I), wp.sigma) for wp in pairs])
     assert hashlib.sha256(text.encode()).hexdigest() == W4_DIGEST
 
@@ -318,6 +329,29 @@ def test_no_overlap_routes_agree():
     for d in (2, 3):
         assert rf_equal(zeta_no_overlap(d, "via_H").value,
                         zeta_no_overlap(d, "via_G").value)
+
+
+def test_no_overlap_sign_patterns_are_pinned():
+    """via_H sums 2^(d-1) 2^(d'-1) sign patterns, calling progress once
+    for each, and reports them as its pairs."""
+    for d, pieces in ((2, 12), (3, 160)):
+        calls = []
+        res = zeta_no_overlap(d, progress=lambda k, n: calls.append((k, n)))
+        n = 2 ** (d - 1) * 2 ** (d * (d - 1) // 2 - 1)
+        assert calls == [(k, n) for k in range(1, n + 1)]
+        assert res.kind == "no_overlap"
+        assert {k: v for k, v in res.provenance.items()
+                if k != "seconds"} == {"pairs": n, "pieces": pieces}
+
+
+def test_overlap_builds_only_its_words_contexts(monkeypatch):
+    monkeypatch.setattr(zeta, "_sigma_cache", {})
+    zeta_overlap(3, "010101")
+    word = (0, 1, 0, 1, 0, 1)
+    expected = {(3, wp.sigma) for wp in enumerate_Wd(3)
+                if dyck_of_sigma(3, wp.sigma) == word}
+    assert 0 < len(expected) < 44
+    assert set(zeta._sigma_cache) == expected
 
 
 def test_padic_at_zero(z2, z3):
