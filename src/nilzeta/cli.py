@@ -150,13 +150,27 @@ def _check(name, ok, detail=""):
 
 
 def _verify_golden(d, sweep):
-    from .golden import golden_padic, golden_reduced, golden_topological
-    from .arith import lff_equal
+    from .golden import (golden_padic, golden_reduced, golden_topological,
+                         padic_denominator_multiset)
+    from .arith import NotDivisible, lff_equal, rf_with_denominator
     ok = True
     g = golden_padic(d)
+    den = padic_denominator_multiset(d)
     if g is not None:
         ok &= _check(f"padic d={d} matches closed form",
                      rf_equal(sweep["padic"].value, g))
+    elif den is not None:
+        # no closed form, but the paper's denominator: the function must
+        # have a numerator over it with constant term 1, and value 1 at s=0
+        value = sweep["padic"].value
+        try:
+            one = rf_with_denominator(value, den).terms.get((0, 0)) == 1
+        except NotDivisible:
+            one = False
+        ok &= _check(f"padic d={d} over the {sum(den.values())}-factor "
+                     f"denominator, constant term 1", one)
+        ok &= _check(f"padic d={d} value at s=0 is 1",
+                     zmod.padic_at_zero_is_one(value, d + d * (d - 1) // 2))
     gr = golden_reduced(d)
     if gr is not None:
         ok &= _check(f"reduced d={d} matches closed form",
@@ -220,7 +234,7 @@ def cmd_verify(args):
             print(f"oracle capacity exceeded: {exc}", file=sys.stderr)
             return EXIT_ORACLE_CAPACITY
     kinds = {k for s in suites for k in SUITE_KINDS[s]}
-    sweep = zmod.zeta_all(d, kinds)
+    sweep = zmod.zeta_all(d, kinds, progress=heartbeat())
     if suite in ("golden", "all"):
         ok &= _verify_golden(d, sweep)
     if suite in ("funeq", "all"):

@@ -10,12 +10,14 @@ a prescribed set C), pushed through a monomial map: summed piece by piece,
 over all of the region's pieces at once.  The identity map gives the
 multivariate generating function itself.
 
-A piece's numerator sums its box points, the lattice points of its
-half-open parallelepiped.  Every piece of a region is a face of a simplex
-of the pulling triangulation of the region's top face, so each such
-simplex gets one Smith normal form, for its parallelepiped group
-(BoxGroup), and every piece reads its box points off that group: the
-elements whose coordinates vanish off the piece's rays.
+A region is cut into its pieces, the open simplicial cells of its faces,
+in one pass over the simplices of the pulling triangulation of its top
+face: every piece is a face of such a simplex, found by the subset of the
+simplex's rays that spans it.  A piece's numerator sums its box points,
+the lattice points of its half-open parallelepiped.  Each top simplex gets
+one Smith normal form, for its parallelepiped group (BoxGroup), and every
+piece reads its box points off that group: the elements whose coordinates
+vanish off the piece's rays.
 
 All arithmetic is exact, over int.
 """
@@ -416,7 +418,6 @@ class DiophantineMonoid:
         self._rays = None
         self._ray_masks = None
         self._within = {}
-        self._cells = {}
         self._tri = {}
         self._groups = {}
         self._fdim = {}
@@ -457,15 +458,6 @@ class DiophantineMonoid:
         not containing it.
         """
         return self._triangulation(_mask(B))
-
-    def cells(self, B):
-        """Open simplicial pieces whose disjoint union is relint of face B.
-
-        These are the faces of the pulling triangulation of B that are not
-        contained in the boundary, i.e. the subsets of maximal simplices
-        whose ray supports cover all of B.
-        """
-        return self._cells_of(_mask(B))
 
     # -- the same on support bitmasks ---------------------------------------
 
@@ -525,48 +517,6 @@ class DiophantineMonoid:
         self._tri[b] = out
         return out
 
-    def _cells_of(self, b, top=None):
-        """The cells of face b, each tied to a simplex of the triangulation
-        of the face top (b itself by default) that has it as a face.
-
-        The pulling triangulation of a face is the restriction to it of the
-        pulling triangulation of any face containing it, so that simplex
-        exists.  A cell reads its box points off the BoxGroup of that
-        simplex, kept once per simplex, so the cells of every face of a
-        region share the Smith forms of the region's top simplices.  The
-        cells are kept per face; a face met again in a region with another
-        top keeps the cells it has.
-        """
-        out = self._cells.get(b)
-        if out is not None:
-            return out
-        if not b:
-            out = [SimplicialPiece(())]
-        else:
-            hosts = [self._box_group(t)
-                     for t in self._triangulation(b if top is None else top)]
-            seen = set()
-            out = []
-            for simplex in self._triangulation(b):
-                group = next(g for g in hosts
-                             if all(r in g.index for r in simplex))
-                masks = [self._ray_masks[r] for r in simplex]
-                n = len(simplex)
-                covers = [0] * (1 << n)
-                for sel in range(1, 1 << n):
-                    low = sel & -sel
-                    cover = covers[sel] = \
-                        covers[sel ^ low] | masks[low.bit_length() - 1]
-                    if cover != b:
-                        continue
-                    subset = tuple(simplex[i] for i in range(n)
-                                   if sel >> i & 1)
-                    if subset not in seen:
-                        seen.add(subset)
-                        out.append(SimplicialPiece(subset, group))
-        self._cells[b] = out
-        return out
-
     def _box_group(self, simplex):
         group = self._groups.get(simplex)
         if group is None:
@@ -581,15 +531,41 @@ def decompose_region_by_face(monoid: DiophantineMonoid, A, C):
     The region collects the monoid elements x with x_i > 0 for i in A and
     x_i = 0 outside C.  Such x lie in the relative interior of the face
     supp(x), so the region is the disjoint union of the relints of the faces
-    B with A <= B <= C; each face comes with the cells that tile its relint.
-    Only the faces inside C are enumerated.  The last of them, the union of
-    all, is the region's top face; each cell is tied to a simplex of its
-    triangulation, whose parallelepiped group gives the cell's box points.
+    B with A <= B <= C, in face_lattice order; each face comes with the
+    cells that tile its relint.  Only the faces inside C are enumerated.
+
+    The cells of a face are the faces of its pulling triangulation whose
+    ray supports cover it.  That triangulation is the restriction of the
+    triangulation of the region's top face (the last face, the union of
+    all), so one pass over the top simplices finds every cell: each subset
+    of a simplex's rays goes to the face its supports cover, if that face
+    contains A, and reads its box points off the simplex's parallelepiped
+    group.  A subset shared by several simplices is kept once.
     """
     a = _mask(A)
     faces = monoid._faces_within(_mask(C))
-    return [(frozenset(_bits(b)), monoid._cells_of(b, faces[-1]))
-            for b in faces if b & a == a]
+    cells = {b: [] for b in faces if b & a == a}
+    if not cells:
+        return []
+    if 0 in cells:
+        cells[0].append(SimplicialPiece(()))
+    masks = monoid._ray_masks
+    seen = set()
+    for simplex in monoid._triangulation(faces[-1]):
+        group = monoid._box_group(simplex)
+        n = len(simplex)
+        covers = [0] * (1 << n)
+        for sel in range(1, 1 << n):
+            low = sel & -sel
+            cover = covers[sel] = \
+                covers[sel ^ low] | masks[simplex[low.bit_length() - 1]]
+            if cover & a != a:
+                continue
+            subset = tuple(simplex[i] for i in range(n) if sel >> i & 1)
+            if subset not in seen:
+                seen.add(subset)
+                cells[cover].append(SimplicialPiece(subset, group))
+    return [(frozenset(_bits(b)), out) for b, out in cells.items()]
 
 
 def genfun_piece(piece: SimplicialPiece, cols, vars):

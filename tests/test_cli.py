@@ -192,6 +192,39 @@ def test_verify_suites(tmp_path, capsys):
         assert "FAIL" not in out
 
 
+def test_verify_reports_progress_on_stderr(capsys):
+    code, out, err = run(capsys, "verify", "--d", "2", "--suite", "pole")
+    assert code == 0
+    assert out.startswith("PASS  pole report d=2 self-consistent")
+    assert len(out.splitlines()) == 1
+    [line] = err.splitlines()
+    assert line.startswith("progress: ")
+
+
+def test_verify_golden_checks_the_padic_denominator(capsys, monkeypatch):
+    """Without a closed form, the golden suite writes the p-adic function
+    over the known denominator multiset and checks its value at s=0; a
+    wrong multiset fails."""
+    from nilzeta import golden
+
+    # the d=3 multiset is read off the closed form, so keep it first
+    den = golden.padic_denominator_multiset(3)
+    monkeypatch.setattr(golden, "golden_padic", lambda d: None)
+    monkeypatch.setattr(golden, "padic_denominator_multiset", lambda d: den)
+    code, out, _ = run(capsys, "verify", "--d", "3", "--suite", "golden")
+    assert code == 0
+    assert "PASS  padic d=3 over the 9-factor denominator, constant term 1" \
+        in out.splitlines()
+    assert "PASS  padic d=3 value at s=0 is 1" in out.splitlines()
+    assert "FAIL" not in out
+
+    del den[(8, 3)]
+    code, out, _ = run(capsys, "verify", "--d", "3", "--suite", "golden")
+    assert code == 1
+    assert "FAIL  padic d=3 over the 8-factor denominator, constant term 1" \
+        in out.splitlines()
+
+
 def test_report_command(capsys):
     code, out, _ = run(capsys, "report", "--d", "2", "--format", "json")
     assert code == 0

@@ -273,7 +273,8 @@ def test_cells_partition_relint():
     monoid = DiophantineMonoid(4, [(1, 2, -1, -1)])
     total = 0
     for B in monoid.face_lattice():
-        pieces = monoid.cells(B)
+        (face, pieces), = decompose_region_by_face(monoid, B, B)
+        assert face == B
         # pieces of a face must have supports inside B covering B
         for p in pieces:
             union = set()
@@ -340,9 +341,9 @@ def test_cell_box_points_match_a_smith_form_per_cell():
         monoid, A, C = region_of_wpair(wp)
         for _, cells in decompose_region_by_face(monoid, A, C):
             for p in cells:
-                if id(p) in seen:
+                if p.rays in seen:
                     continue
-                seen.add(id(p))
+                seen.add(p.rays)
                 want = reference_box(p.rays)
                 assert p.box() == want, p
                 assert p.count_box() == len(want), p
@@ -403,6 +404,24 @@ def test_one_smith_form_per_top_simplex(monkeypatch):
         tops += len(monoid.triangulation(top))
     assert len(calls) == tops
     assert 4 * tops < cells
+
+
+def test_a_region_triangulates_only_its_top_face():
+    """Cutting a region into cells triangulates its top face and the faces
+    that face's pulling recursion reaches, and no other face: each d=3 pair
+    and each pinned d=4 pair, on fresh monoids."""
+    regions = 0
+    for wp in enumerate_Wd(3) + _d4_pinned_pairs():
+        A, C = wp.region_sets()
+        monoid = SigmaContext(wp.d, wp.sigma).monoid
+        decompose_region_by_face(monoid, A, C)
+        alone = SigmaContext(wp.d, wp.sigma).monoid
+        alone.triangulation(frozenset().union(
+            *(alone.support(r) for r in alone.rays()
+              if alone.support(r) <= C)))
+        assert set(monoid._tri) <= set(alone._tri), wp
+        regions += 1
+    assert regions == 49
 
 
 def test_region_dump_golden():
