@@ -10,6 +10,10 @@ a prescribed set C), pushed through a monomial map: summed piece by piece,
 over all of the region's pieces at once.  The identity map gives the
 multivariate generating function itself.
 
+A triangulation recurses over facets, which are found by their supports
+alone (the face lattice is graded); only the dimension of the face where
+it starts takes a rank computation.
+
 A region is cut into its pieces, the open simplicial cells of its faces,
 in one pass over the simplices of the pulling triangulation of its top
 face: every piece is a face of such a simplex, found by the subset of the
@@ -17,7 +21,9 @@ simplex's rays that spans it.  A piece's numerator sums its box points,
 the lattice points of its half-open parallelepiped.  Each top simplex gets
 one Smith normal form, for its parallelepiped group (BoxGroup), and every
 piece reads its box points off that group: the elements whose coordinates
-vanish off the piece's rays.
+vanish off the piece's rays.  Under a monomial map, each ray of a region
+is mapped once, and each box point is summed from its rays' images
+directly in the arena (two coordinates for (q, t)), not in the monoid's.
 
 All arithmetic is exact, over int.
 """
@@ -299,6 +305,11 @@ class BoxGroup:
         0 <= c_i < diag[i]; only the invariant factors above 1 let c_i
         move.  Coordinates where every ray vanishes give zero rows, which
         change neither diag nor V; they are left out.
+
+        Each element is checked here to be a lattice point (lcm divides
+        Sum a_i r_i) and to be distinct from the others.  That covers the
+        box of every face: a face's point is an element plus some of the
+        rays, and folding [0, 1) into (0, 1] is injective.
         """
         if self._elements is None:
             M = [list(row) for row in zip(*self.rays) if any(row)]
@@ -314,7 +325,9 @@ class BoxGroup:
             elements = []
             for c in product(*(range(diag[i]) for i in free)):
                 a = tuple(sum(map(mul, row, c)) % lcm for row in scaled_V)
+                assert all(sum(map(mul, row, a)) % lcm == 0 for row in M)
                 elements.append((_support_mask(a), a))
+            assert len({a for _, a in elements}) == len(elements)
             self._lcm, self._elements = lcm, elements
         return self._lcm, self._elements
 
@@ -343,30 +356,29 @@ def box_count(rays, group=None):
     return len(group.face_box(rays)[1])
 
 
-def box_points(rays, group=None):
+def box_points(rays, group=None, images=None):
     """Lattice points Sum a_i r_i with every a_i in (0, 1], as tuples.
 
     Read off the parallelepiped group (BoxGroup) of a simplex that has the
     (linearly independent) rays among its own, by default the rays' own
-    simplex: one point per element that is 0 off the rays, mapped through
-    the rays with its coordinates folded into (0, 1].
+    simplex: one point per element that is 0 off the rays, with its
+    coordinates folded into (0, 1].  The points come sorted.
+
+    images, if given, holds each ray's image under a linear map, in the
+    order of rays; then each point comes as its image
+    Sum a_i image(r_i), in the group's order, and is never built in the
+    rays' own coordinates.  The empty cone's one point is () either way.
     """
     if not rays:
         return [()]
     if group is None:
         group = BoxGroup(rays)
     lcm, coeffs = group.face_box(rays)
-    coords = list(zip(*rays))
-    points = []
-    for a in coeffs:
-        x = []
-        for col in coords:
-            v = sum(map(mul, col, a))
-            assert v % lcm == 0
-            x.append(v // lcm)
-        points.append(tuple(x))
-    assert len(set(points)) == len(points)
-    return sorted(points)
+    # lcm divides each coordinate of lcm * point, and so of its image
+    cols = list(zip(*(rays if images is None else images)))
+    points = [tuple([sum(map(mul, col, a)) // lcm for col in cols])
+              for a in coeffs]
+    return sorted(points) if images is None else points
 
 
 # ---------------------------------------------------------------------------
@@ -382,21 +394,18 @@ class SimplicialPiece:
     among its own (by default the rays' own simplex).
     """
 
-    __slots__ = ("rays", "_group", "_box")
+    __slots__ = ("rays", "_group")
 
     def __init__(self, rays, group=None):
         self.rays = tuple(tuple(r) for r in rays)
         self._group = group
-        self._box = None
 
     @property
     def dim(self):
         return len(self.rays)
 
     def box(self):
-        if self._box is None:
-            self._box = box_points(self.rays, self._group)
-        return self._box
+        return box_points(self.rays, self._group)
 
     def count_box(self):
         return box_count(self.rays, self._group)
@@ -455,9 +464,11 @@ class DiophantineMonoid:
         Returns a list of maximal simplices, each a tuple of rays.  The
         first ray of the face in extreme_rays' sorted order is pulled; the
         simplices are that ray joined with the triangulations of the facets
-        not containing it.
+        not containing it.  Only the face's own dimension is a rank
+        computation; its facets are found by their supports (_facets).
         """
-        return self._triangulation(_mask(B))
+        b = _mask(B)
+        return self._triangulation(b, self._face_dim(b))
 
     # -- the same on support bitmasks ---------------------------------------
 
@@ -497,23 +508,35 @@ class DiophantineMonoid:
             dim = self._fdim[b] = matrix_rank(self._face_rays(b))
         return dim
 
-    def _triangulation(self, b):
+    def _facets(self, b):
+        """Supports of the facets of face b, in face_lattice order.
+
+        The face lattice of a pointed cone is graded, so the facets of b
+        are its maximal proper faces: the faces f != b inside b that every
+        ray of b either lies in or joins to b (the smallest face holding f
+        and a ray has the union of their supports as its support).
+        """
+        masks = self._ray_masks
+        supports = [masks[r] for r in self._face_rays(b)]
+        return [f for f in self._faces_within(b)
+                if f != b and all(s & f == s or s | f == b for s in supports)]
+
+    def _triangulation(self, b, dim):
+        """The pulling triangulation of face b (see triangulation), given
+        b's dimension dim; each facet is triangulated with dim - 1, so no
+        face below b takes a rank computation."""
         out = self._tri.get(b)
         if out is not None:
             return out
         rays = self._face_rays(b)
-        d = self._face_dim(b)
-        if len(rays) == d:
+        if len(rays) == dim:
             out = [tuple(rays)] if rays else []
         else:
             v = rays[0]
             sv = self._ray_masks[v]
-            # faces of equal dimension never nest, so the faces of
-            # dimension d - 1 inside b are exactly its facets
             out = [(v,) + simplex
-                   for f in self._faces_within(b)
-                   if f & sv != sv and self._face_dim(f) == d - 1
-                   for simplex in self._triangulation(f)]
+                   for f in self._facets(b) if f & sv != sv
+                   for simplex in self._triangulation(f, dim - 1)]
         self._tri[b] = out
         return out
 
@@ -551,7 +574,8 @@ def decompose_region_by_face(monoid: DiophantineMonoid, A, C):
         cells[0].append(SimplicialPiece(()))
     masks = monoid._ray_masks
     seen = set()
-    for simplex in monoid._triangulation(faces[-1]):
+    top = faces[-1]
+    for simplex in monoid._triangulation(top, monoid._face_dim(top)):
         group = monoid._box_group(simplex)
         n = len(simplex)
         covers = [0] * (1 << n)
@@ -568,36 +592,44 @@ def decompose_region_by_face(monoid: DiophantineMonoid, A, C):
     return [(frozenset(_bits(b)), out) for b, out in cells.items()]
 
 
-def genfun_piece(piece: SimplicialPiece, cols, vars):
+def genfun_piece(piece: SimplicialPiece, cols, vars, images=None):
     """The piece's generating function pushed through a monomial map.
 
     cols holds, per variable of the arena vars, each coordinate's exponent
     of that variable: x maps to the monomial with exponents col . x.  The
-    identity map gives Sum over the piece of Z^x.
+    identity map gives Sum over the piece of Z^x.  Each ray is mapped once
+    into images, a dict from rays to their images that pieces sharing rays
+    may share; box_points maps the box points through the rays' images.
     """
-    def image(x):
-        return tuple([sum(map(mul, x, col)) for col in cols])
-
-    num = {}
-    for beta in piece.box():
-        key = image(beta)
-        num[key] = num.get(key, 0) + 1
+    if images is None:
+        images = {}
     den = {}
     for ray in piece.rays:
-        key = image(ray)
+        key = images.get(ray)
+        if key is None:
+            key = images[ray] = tuple([sum(map(mul, ray, col))
+                                       for col in cols])
         den[key] = den.get(key, 0) + 1
+    # the empty cell's one point is the origin
+    origin = (0,) * len(cols)
+    num = {}
+    for key in box_points(piece.rays, piece._group,
+                          [images[ray] for ray in piece.rays]):
+        key = key or origin
+        num[key] = num.get(key, 0) + 1
     return FactoredRationalFunction(LaurentPolynomial(vars, num), den)
 
 
 def genfun_faces(face_groups, cols, vars):
     """Sum of genfun_piece over face-grouped pieces, in one rf_sum_common.
 
-    Cells of one face draw their denominators from that face's small ray
-    pool, so many pieces miss the same factors of the region-wide common
-    denominator; the sum's shared lift multiplies each such factor into
-    their sum once.
+    Every ray is mapped once for all the pieces.  Cells of one face draw
+    their denominators from that face's small ray pool, so many pieces
+    miss the same factors of the region-wide common denominator; the sum's
+    shared lift multiplies each such factor into their sum once.
     """
-    return rf_sum_common([genfun_piece(p, cols, vars)
+    images = {}
+    return rf_sum_common([genfun_piece(p, cols, vars, images)
                           for _, cells in face_groups for p in cells],
                          vars=vars)
 

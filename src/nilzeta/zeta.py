@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, combinations
 from math import comb, factorial, prod
 from operator import mul, sub
 
@@ -217,12 +217,13 @@ def wd_contains(d, I, sigma):
     """Membership test for the admissible pair family.
 
     sigma is a shuffle, or just its subsequence of values > d': the answer
-    depends on nothing else.  Decides by exact rational feasibility whether
-    r in Q^d, with r_i > 0 exactly for the i in I among [d-1] and r_d >= 0,
-    can order the pairwise sums as sigma does: the sum of an earlier value
-    at least that of a later one, strictly when the earlier value is the
-    smaller; strict inequalities become >= 1 by homogeneity, and r != 0
-    becomes sum(r) >= 1.
+    depends on nothing else.  A prefix of that subsequence is tested on
+    the constraints among its own values only.  Decides by exact rational
+    feasibility whether r in Q^d, with r_i > 0 exactly for the i in I
+    among [d-1] and r_d >= 0, can order the pairwise sums as sigma does:
+    the sum of an earlier value at least that of a later one, strictly
+    when the earlier value is the smaller; strict inequalities become
+    >= 1 by homogeneity, and r != 0 becomes sum(r) >= 1.
 
     Two reductions keep the system small, and both are exact.  The unknowns
     are only r_i for i in I and r_d, since every other r_i is 0.  The order
@@ -256,24 +257,48 @@ def _subsets_lex(n):
 _wd_enum_cache = {}
 
 
+def _admitted_orders(d, I):
+    """The orders of the values > d' that wd_contains admits with I, in
+    lex order.
+
+    The orders are walked depth-first, and a prefix is cut as soon as
+    wd_contains refuses it: a prefix carries a subset of the constraints
+    of every order that extends it, so no extension of a refused prefix
+    is admitted.
+    """
+    dp = _dprime(d)
+    values = range(dp + 1, 2 * dp + 1)
+    out = []
+
+    def walk(prefix):
+        if len(prefix) == dp:
+            out.append(prefix)
+            return
+        for x in values:
+            if x not in prefix and wd_contains(d, I, prefix + (x,)):
+                walk(prefix + (x,))
+
+    walk(())
+    return out
+
+
 def enumerate_Wd(d):
     """All admissible pairs, ordered by I (lex) then sigma (lex).
 
     Membership depends on sigma only through the order of its values > d',
-    so wd_contains decides it once per (I, order), on a system with only
+    so wd_contains decides it per (I, order), on a system with only
     the unknowns r_i, i in I or i = d, and only the constraints between
-    consecutive values; its docstring says why both cuts are exact.  Only
-    the shuffles of admitted orders are built (admissible_shuffles), and
+    consecutive values; its docstring says why both cuts are exact.  The
+    orders are found prefix by prefix (_admitted_orders).  Only the
+    shuffles of admitted orders are built (admissible_shuffles), and
     since shuffles of distinct orders are distinct, sorting those of one I
     gives its pairs in the order of sorted S_d.
     """
     if d in _wd_enum_cache:
         return list(_wd_enum_cache[d])
-    dp = _dprime(d)
-    orders = list(permutations(range(dp + 1, 2 * dp + 1)))
     out = []
     for I in _subsets_lex(d - 1):
-        sigmas = sorted(s for order in orders if wd_contains(d, I, order)
+        sigmas = sorted(s for order in _admitted_orders(d, I)
                         for s in admissible_shuffles(d, order))
         out.extend(WPair(d, I, sigma) for sigma in sigmas)
     _wd_enum_cache[d] = out

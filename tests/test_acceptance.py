@@ -6,6 +6,8 @@ they recompute (minutes: about 8 for the d=4 p-adic and overlap sweep,
 about 4 for reduced, topological and c_4, on a 2-core VM).
 """
 
+import hashlib
+import json
 import math
 import os
 import sys
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from nilzeta.arith import (
+    FactoredRationalFunction,
     LaurentPolynomial,
     poly_exact_div,
     rf_equal,
@@ -113,6 +116,15 @@ def test_criterion_2_padic_d3():
                  f"({elapsed:.1f}s)")
 
 
+# sha256 of the sorted-key JSON of the d=4 p-adic numerator over
+# padic_denominator_multiset(4) (2,068 terms, constant term 1, top monomial
+# q^335 t^88), as this code computed it.  A regression pin, not an
+# independent golden form: the checks beside it (the denominator, the
+# functional equation, the value at s=0) are the independent ones.
+D4_PADIC_NUMERATOR_DIGEST = \
+    '83155a16ec7353b7b5cb7a6767c8ccc479c695399d6d27f71f87cd3dd2546bd0'
+
+
 def test_criterion_3_padic_d4():
     if not SLOW:
         _skip(3, "d=4 p-adic gated; set NILZETA_ACCEPT_SLOW=1")
@@ -121,11 +133,15 @@ def test_criterion_3_padic_d4():
         num = rf_with_denominator(z.value, padic_denominator_multiset(4))
         den_ok = num.terms.get((0, 0)) == 1
     except NotDivisible:
-        den_ok = False
+        num, den_ok = None, False
+    pinned = num is not None and hashlib.sha256(json.dumps(
+        FactoredRationalFunction(num).to_json_obj(),
+        sort_keys=True).encode()).hexdigest() == D4_PADIC_NUMERATOR_DIGEST
     funeq_ok = check_functional_equation(z.value, 10)
     zero_ok = padic_at_zero_is_one(z.value, 10)
-    _line(3, den_ok and funeq_ok and zero_ok,
+    _line(3, den_ok and pinned and funeq_ok and zero_ok,
           f"d=4 p-adic: 23-factor denominator={den_ok}, "
+          f"pinned numerator={pinned}, "
           f"functional equation D=10={funeq_ok}, value at s=0 is 1={zero_ok}")
 
 

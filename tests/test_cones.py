@@ -5,7 +5,7 @@ from itertools import combinations, product
 from math import ceil, gcd, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nilzeta import cones
 from nilzeta.arith import FactoredRationalFunction, LaurentPolynomial, rf_equal
@@ -375,6 +375,86 @@ def test_faces_read_off_a_simplex_group(simplex):
 def test_box_group_rejects_dependent_rays():
     with pytest.raises(ValueError, match="not linearly independent"):
         box_points([(1, 1), (2, 2)])
+
+
+def _image(x, cols):
+    return tuple(sum(a * b for a, b in zip(x, col)) for col in cols)
+
+
+def test_box_points_through_images_on_every_d3_cell():
+    """Every cell of every d=3 region (and of the pinned d=4 pairs), in
+    both arenas: the box points mapped through the rays' images are the
+    identity points mapped through the same columns."""
+    checked = 0
+    for wp in enumerate_Wd(3) + _d4_pinned_pairs():
+        monoid, A, C = region_of_wpair(wp)
+        cols = list(zip(*wp.context.qt_exponents()))
+        for _, cells in decompose_region_by_face(monoid, A, C):
+            for p in cells:
+                for c in (cols, cols[-1:]):
+                    got = box_points(p.rays, p._group,
+                                     [_image(r, c) for r in p.rays])
+                    want = sorted(_image(x, c) for x in p.box()) \
+                        if p.rays else [()]
+                    assert sorted(got) == want, p
+                checked += 1
+    assert checked > 400
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_box_points_through_images_random_simplices(data):
+    m = data.draw(st.integers(min_value=1, max_value=4))
+    n = data.draw(st.integers(min_value=1, max_value=m))
+    entry = st.integers(min_value=-3, max_value=3)
+    rays = [tuple(data.draw(entry) for _ in range(m)) for _ in range(n)]
+    assume(matrix_rank(rays) == n)
+    cols = [tuple(data.draw(entry) for _ in range(m))
+            for _ in range(data.draw(st.integers(min_value=1, max_value=2)))]
+    group = BoxGroup(rays)
+    sel = data.draw(st.integers(min_value=1, max_value=(1 << n) - 1))
+    face = [r for i, r in enumerate(rays) if sel >> i & 1]
+    images = [_image(r, cols) for r in face]
+    assert sorted(box_points(face, group, images)) == \
+        sorted(_image(x, cols) for x in box_points(face, group))
+
+
+def _monoids_of(pairs):
+    return {id(m): m for m in (region_of_wpair(wp)[0] for wp in pairs)}
+
+
+def test_facets_by_supports_are_the_faces_one_dimension_down():
+    """Every face of every d=3 monoid and of the pinned d=4 pairs'
+    monoids: the facets found by supports are the faces of one dimension
+    less, which a rank computation finds."""
+    faces = 0
+    for monoid in _monoids_of(enumerate_Wd(3) + _d4_pinned_pairs()).values():
+        for b in monoid._faces_within((1 << monoid.num_vars) - 1):
+            dim = monoid._face_dim(b)
+            assert monoid._facets(b) == [
+                f for f in monoid._faces_within(b)
+                if f != b and monoid._face_dim(f) == dim - 1], b
+            faces += 1
+    assert faces > 2000
+
+
+def test_one_rank_computation_per_region(monkeypatch):
+    """Cutting a region into cells on a fresh monoid runs matrix_rank at
+    most once, for the dimension of its top face: each d=3 pair and each
+    pinned d=4 pair."""
+    calls = []
+    original = cones.matrix_rank
+
+    def counted(rows):
+        calls.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(cones, "matrix_rank", counted)
+    for wp in enumerate_Wd(3) + _d4_pinned_pairs():
+        A, C = wp.region_sets()
+        calls.clear()
+        decompose_region_by_face(SigmaContext(wp.d, wp.sigma).monoid, A, C)
+        assert len(calls) <= 1, wp
 
 
 def test_one_smith_form_per_top_simplex(monkeypatch):

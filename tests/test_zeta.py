@@ -223,6 +223,28 @@ def test_w4_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == W4_DIGEST
 
 
+def test_orders_are_pruned_by_prefix(monkeypatch):
+    """enumerate_Wd tests prefixes of the orders and cuts every refused
+    one: at d=4 it admits the 10 (I, order) of W_4 after 1,600 membership
+    tests, not one test for each of the 8 * 720."""
+    calls = []
+    original = zeta.wd_contains
+
+    def counted(d, I, sigma):
+        calls.append(d)
+        return original(d, I, sigma)
+
+    monkeypatch.setattr(zeta, "wd_contains", counted)
+    monkeypatch.setattr(zeta, "_wd_enum_cache", {})
+    assert len(zeta.enumerate_Wd(3)) == 44
+    assert len(calls) == 48
+    calls.clear()
+    pairs = zeta.enumerate_Wd(4)
+    assert len(calls) == 1600
+    assert len({(wp.I, tuple(x for x in wp.sigma if x > 6))
+                for wp in pairs}) == len(W4_ADMITTED)
+
+
 def test_phi_sigma_shape():
     rows = phi_sigma(3, (4, 5, 1, 6, 3, 2))
     assert rows == [
