@@ -14,16 +14,21 @@ A triangulation recurses over facets, which are found by their supports
 alone (the face lattice is graded); only the dimension of the face where
 it starts takes a rank computation.
 
-A region is cut into its pieces, the open simplicial cells of its faces,
-in one pass over the simplices of the pulling triangulation of its top
-face: every piece is a face of such a simplex, found by the subset of the
-simplex's rays that spans it.  A piece's numerator sums its box points,
-the lattice points of its half-open parallelepiped.  Each top simplex gets
-one Smith normal form, for its parallelepiped group (BoxGroup), and every
-piece reads its box points off that group: the elements whose coordinates
-vanish off the piece's rays.  Under a monomial map, each ray of a region
-is mapped once, and each box point is summed from its rays' images
-directly in the arena (two coordinates for (q, t)), not in the monoid's.
+A region is cut into signed half-open simplicial pieces, in one pass over
+the simplices of the pulling triangulation of its top face.  The open
+cells that a simplex adds to the region (the subsets of its rays whose
+supports hold every coordinate the region asks to be positive, and that
+no earlier simplex holds) form an up-set of its ray subsets, cut out by
+sets of rays that each cell must meet; by inclusion-exclusion over the
+minimal such sets, the up-set is a signed sum of a few half-open faces of
+the simplex, the simplex itself among them.  A piece's numerator sums its
+box points, the lattice points of its half-open parallelepiped.  Each top
+simplex gets one Smith normal form, for its parallelepiped group
+(BoxGroup), and each of its pieces reads its box points off that group:
+the elements whose coordinates vanish off the piece's rays, folded into
+(0, 1] at the open rays.  Under a monomial map, each ray of a region is
+mapped once, and each box point is summed from its rays' images directly
+in the arena (two coordinates for (q, t)), not in the monoid's.
 
 All arithmetic is exact, over int.
 """
@@ -287,7 +292,9 @@ class BoxGroup:
     A face of the simplex, on a subset S of its rays, has as its group the
     elements with a_i = 0 outside S: a lattice point of the face's span has
     the same coordinates in S as in all the rays.  So one Smith normal form
-    serves every face of the simplex.
+    serves every face of the simplex, open or half-open: the box of a
+    half-open face raises an element's zero coordinates at its open rays
+    to 1.
     """
 
     __slots__ = ("rays", "index", "_lcm", "_elements")
@@ -331,20 +338,24 @@ class BoxGroup:
             self._lcm, self._elements = lcm, elements
         return self._lcm, self._elements
 
-    def face_box(self, rays):
+    def face_box(self, rays, open_rays=None):
         """(lcm, coordinates) of the box of the face on rays, a subset of
         the simplex's rays: each element that is 0 off the face, its
-        coordinates at rays in that order, every 0 raised to lcm (a_i = 1)
-        to fold it into (0, 1]."""
+        coordinates at rays in that order, every 0 at an open ray raised
+        to lcm (a_i = 1) to fold it into (0, 1].  open_rays is a subset
+        of rays, by default all of them."""
         lcm, elements = self.elements()
         at = [self.index[r] for r in rays]
         off = ~_mask(at)
-        return lcm, [[a[i] or lcm for i in at]
+        fold = [lcm] * len(at) if open_rays is None else \
+            [lcm if r in open_rays else 0 for r in rays]
+        return lcm, [[a[i] or f for i, f in zip(at, fold)]
                      for support, a in elements if not support & off]
 
 
-def box_count(rays, group=None):
-    """Number of lattice points Sum a_i r_i with a_i in (0, 1].
+def box_count(rays, group=None, open_rays=None):
+    """Number of lattice points Sum a_i r_i with a_i in (0, 1] at the open
+    rays (by default all of them) and in [0, 1) at the others.
 
     group is the BoxGroup of a simplex that has the rays among its own; by
     default the rays' own simplex.
@@ -353,16 +364,19 @@ def box_count(rays, group=None):
         return 1
     if group is None:
         group = BoxGroup(rays)
-    return len(group.face_box(rays)[1])
+    return len(group.face_box(rays, open_rays)[1])
 
 
-def box_points(rays, group=None, images=None):
-    """Lattice points Sum a_i r_i with every a_i in (0, 1], as tuples.
+def box_points(rays, group=None, images=None, open_rays=None):
+    """Lattice points Sum a_i r_i of a half-open parallelepiped, as tuples:
+    a_i in (0, 1] at the open rays, in [0, 1) at the others.
 
-    Read off the parallelepiped group (BoxGroup) of a simplex that has the
-    (linearly independent) rays among its own, by default the rays' own
-    simplex: one point per element that is 0 off the rays, with its
-    coordinates folded into (0, 1].  The points come sorted.
+    open_rays is a subset of rays, by default all of them (the box of the
+    open cone).  The points are read off the parallelepiped group
+    (BoxGroup) of a simplex that has the (linearly independent) rays among
+    its own, by default the rays' own simplex: one point per element that
+    is 0 off the rays, with its coordinates at the open rays folded into
+    (0, 1].  The points come sorted.
 
     images, if given, holds each ray's image under a linear map, in the
     order of rays; then each point comes as its image
@@ -373,7 +387,7 @@ def box_points(rays, group=None, images=None):
         return [()]
     if group is None:
         group = BoxGroup(rays)
-    lcm, coeffs = group.face_box(rays)
+    lcm, coeffs = group.face_box(rays, open_rays)
     # lcm divides each coordinate of lcm * point, and so of its image
     cols = list(zip(*(rays if images is None else images)))
     points = [tuple([sum(map(mul, col, a)) // lcm for col in cols])
@@ -386,18 +400,23 @@ def box_points(rays, group=None, images=None):
 
 
 class SimplicialPiece:
-    """An open simplicial cone: relint of the cone on linearly independent rays.
+    """A signed half-open simplicial cone on linearly independent rays.
 
-    Its lattice-point generating function is
-    (sum over box points Z^beta) / prod over rays (1 - Z^ray).  The box
-    points are read off group, the BoxGroup of a simplex having the rays
-    among its own (by default the rays' own simplex).
+    It holds the points Sum a_i r_i with a_i > 0 at the open rays and
+    a_i >= 0 at the others, counted with sign (+1 or -1); by default every
+    ray is open (the relint of the cone) and the sign is +1.  Its
+    lattice-point generating function is
+    sign * (sum over box points Z^beta) / prod over rays (1 - Z^ray).  The
+    box points are read off group, the BoxGroup of a simplex having the
+    rays among its own (by default the rays' own simplex).
     """
 
-    __slots__ = ("rays", "_group")
+    __slots__ = ("rays", "open_rays", "sign", "_group")
 
-    def __init__(self, rays, group=None):
+    def __init__(self, rays, group=None, open_rays=None, sign=1):
         self.rays = tuple(tuple(r) for r in rays)
+        self.open_rays = self.rays if open_rays is None else tuple(open_rays)
+        self.sign = sign
         self._group = group
 
     @property
@@ -405,13 +424,14 @@ class SimplicialPiece:
         return len(self.rays)
 
     def box(self):
-        return box_points(self.rays, self._group)
+        return box_points(self.rays, self._group, open_rays=self.open_rays)
 
     def count_box(self):
-        return box_count(self.rays, self._group)
+        return box_count(self.rays, self._group, self.open_rays)
 
     def __repr__(self):
-        return f"SimplicialPiece(rays={self.rays})"
+        return (f"SimplicialPiece(rays={self.rays}, "
+                f"open_rays={self.open_rays}, sign={self.sign})")
 
 
 class DiophantineMonoid:
@@ -468,7 +488,8 @@ class DiophantineMonoid:
         computation; its facets are found by their supports (_facets).
         """
         b = _mask(B)
-        return self._triangulation(b, self._face_dim(b))
+        return self._triangulation(b, self._face_dim(b),
+                                   self._faces_within(b))
 
     # -- the same on support bitmasks ---------------------------------------
 
@@ -508,9 +529,11 @@ class DiophantineMonoid:
             dim = self._fdim[b] = matrix_rank(self._face_rays(b))
         return dim
 
-    def _facets(self, b):
+    def _facets(self, b, faces):
         """Supports of the facets of face b, in face_lattice order.
 
+        faces holds every face inside b, in face_lattice order (the faces
+        inside a region's top face, say); those inside b are read off it.
         The face lattice of a pointed cone is graded, so the facets of b
         are its maximal proper faces: the faces f != b inside b that every
         ray of b either lies in or joins to b (the smallest face holding f
@@ -518,13 +541,15 @@ class DiophantineMonoid:
         """
         masks = self._ray_masks
         supports = [masks[r] for r in self._face_rays(b)]
-        return [f for f in self._faces_within(b)
-                if f != b and all(s & f == s or s | f == b for s in supports)]
+        return [f for f in faces
+                if f & b == f and f != b
+                and all(s & f == s or s | f == b for s in supports)]
 
-    def _triangulation(self, b, dim):
+    def _triangulation(self, b, dim, faces):
         """The pulling triangulation of face b (see triangulation), given
-        b's dimension dim; each facet is triangulated with dim - 1, so no
-        face below b takes a rank computation."""
+        b's dimension dim and a list of faces holding those inside b (see
+        _facets); each facet is triangulated with dim - 1, so no face
+        below b takes a rank computation."""
         out = self._tri.get(b)
         if out is not None:
             return out
@@ -535,8 +560,8 @@ class DiophantineMonoid:
             v = rays[0]
             sv = self._ray_masks[v]
             out = [(v,) + simplex
-                   for f in self._facets(b) if f & sv != sv
-                   for simplex in self._triangulation(f, dim - 1)]
+                   for f in self._facets(b, faces) if f & sv != sv
+                   for simplex in self._triangulation(f, dim - 1, faces)]
         self._tri[b] = out
         return out
 
@@ -548,58 +573,78 @@ class DiophantineMonoid:
 
 
 def decompose_region_by_face(monoid: DiophantineMonoid, A, C):
-    """Open simplicial pieces whose disjoint union is the region, grouped
-    by face.
+    """Signed half-open simplicial pieces whose signed sum is the region,
+    grouped by the top simplex they are faces of: [(simplex, pieces)].
 
     The region collects the monoid elements x with x_i > 0 for i in A and
     x_i = 0 outside C.  Such x lie in the relative interior of the face
     supp(x), so the region is the disjoint union of the relints of the faces
-    B with A <= B <= C, in face_lattice order; each face comes with the
-    cells that tile its relint.  Only the faces inside C are enumerated.
+    B with A <= B <= C.  The faces inside C are the faces of the region's
+    top face (the union of them all), and the pulling triangulation of that
+    face restricts to each of them.  So the region is the disjoint union of
+    open cells: for each top simplex in turn, the subsets S of its rays
+    whose supports cover A and that lie in no earlier simplex.
 
-    The cells of a face are the faces of its pulling triangulation whose
-    ray supports cover it.  That triangulation is the restriction of the
-    triangulation of the region's top face (the last face, the union of
-    all), so one pass over the top simplices finds every cell: each subset
-    of a simplex's rays goes to the face its supports cover, if that face
-    contains A, and reads its box points off the simplex's parallelepiped
-    group.  A subset shared by several simplices is kept once.
+    Both conditions ask S to meet sets of the simplex's rays: for each
+    i in A, the rays whose support holds i; for each earlier simplex, the
+    rays outside it.  So the kept S form an up-set, the indicator of which
+    is the product over the inclusion-minimal such sets H of
+    1 - [S misses H].  A minimal set that is one ray makes that ray open
+    (the other minimal sets miss it).  Expanding the product over the
+    other sets gives, for each choice T of them, the half-open face on the
+    rays outside the union of T, with the open rays and sign (-1)^|T|.  The
+    full simplex (T empty) is the only term that leaves out no ray.  A
+    simplex with an empty set to meet adds nothing.
     """
     a = _mask(A)
     faces = monoid._faces_within(_mask(C))
-    cells = {b: [] for b in faces if b & a == a}
-    if not cells:
-        return []
-    if 0 in cells:
-        cells[0].append(SimplicialPiece(()))
-    masks = monoid._ray_masks
-    seen = set()
     top = faces[-1]
-    for simplex in monoid._triangulation(top, monoid._face_dim(top)):
+    if top & a != a:
+        return []
+    masks = monoid._ray_masks
+    bit = {r: 1 << j for j, r in enumerate(monoid._face_rays(top))}
+    # for each i in A, the rays of the top face whose support holds i
+    holders = [sum(bit[r] for r in bit if masks[r] >> i & 1)
+               for i in _bits(a)]
+    out, earlier = [], []
+    # a top face with no rays is the origin alone: one empty simplex
+    simplices = monoid._triangulation(top, monoid._face_dim(top), faces)
+    for simplex in simplices or [()]:
+        s = sum(bit[r] for r in simplex)
+        to_meet = {h & s for h in holders}
+        to_meet.update(s & ~e for e in earlier)
+        earlier.append(s)
+        if 0 in to_meet:
+            continue
+        minimal = []
+        for h in sorted(to_meet, key=lambda h: (h.bit_count(), h)):
+            if all(m & h != m for m in minimal):
+                minimal.append(h)
+        opened = [r for r in simplex if bit[r] in minimal]
+        rest = [h for h in minimal if h & (h - 1)]
         group = monoid._box_group(simplex)
-        n = len(simplex)
-        covers = [0] * (1 << n)
-        for sel in range(1, 1 << n):
-            low = sel & -sel
-            cover = covers[sel] = \
-                covers[sel ^ low] | masks[simplex[low.bit_length() - 1]]
-            if cover & a != a:
-                continue
-            subset = tuple(simplex[i] for i in range(n) if sel >> i & 1)
-            if subset not in seen:
-                seen.add(subset)
-                cells[cover].append(SimplicialPiece(subset, group))
-    return [(frozenset(_bits(b)), out) for b, out in cells.items()]
+        pieces = []
+        for sel in range(1 << len(rest)):
+            left_out = 0
+            for j, h in enumerate(rest):
+                if sel >> j & 1:
+                    left_out |= h
+            pieces.append(SimplicialPiece(
+                [r for r in simplex if not bit[r] & left_out], group, opened,
+                -1 if sel.bit_count() & 1 else 1))
+        out.append((simplex, pieces))
+    return out
 
 
 def genfun_piece(piece: SimplicialPiece, cols, vars, images=None):
-    """The piece's generating function pushed through a monomial map.
+    """The piece's signed generating function pushed through a monomial map.
 
     cols holds, per variable of the arena vars, each coordinate's exponent
     of that variable: x maps to the monomial with exponents col . x.  The
-    identity map gives Sum over the piece of Z^x.  Each ray is mapped once
-    into images, a dict from rays to their images that pieces sharing rays
-    may share; box_points maps the box points through the rays' images.
+    identity map gives sign * Sum over the piece of Z^x.  Each ray is
+    mapped once into images, a dict from rays to their images that pieces
+    sharing rays may share; box_points maps the box points of the piece's
+    half-open parallelepiped through the rays' images.
     """
     if images is None:
         images = {}
@@ -610,27 +655,30 @@ def genfun_piece(piece: SimplicialPiece, cols, vars, images=None):
             key = images[ray] = tuple([sum(map(mul, ray, col))
                                        for col in cols])
         den[key] = den.get(key, 0) + 1
-    # the empty cell's one point is the origin
+    # the empty cone's one point is the origin
     origin = (0,) * len(cols)
     num = {}
+    sign = piece.sign
     for key in box_points(piece.rays, piece._group,
-                          [images[ray] for ray in piece.rays]):
+                          [images[ray] for ray in piece.rays],
+                          piece.open_rays):
         key = key or origin
-        num[key] = num.get(key, 0) + 1
+        num[key] = num.get(key, 0) + sign
     return FactoredRationalFunction(LaurentPolynomial(vars, num), den)
 
 
-def genfun_faces(face_groups, cols, vars):
-    """Sum of genfun_piece over face-grouped pieces, in one rf_sum_common.
+def genfun_faces(groups, cols, vars):
+    """Sum of genfun_piece over grouped pieces, in one rf_sum_common.
 
-    Every ray is mapped once for all the pieces.  Cells of one face draw
-    their denominators from that face's small ray pool, so many pieces
-    miss the same factors of the region-wide common denominator; the sum's
-    shared lift multiplies each such factor into their sum once.
+    Every ray is mapped once for all the pieces.  The pieces of a region
+    draw their denominators from the rays of its few top simplices, so
+    many pieces miss the same factors of the region-wide common
+    denominator; the sum's shared lift multiplies each such factor into
+    their sum once.
     """
     images = {}
     return rf_sum_common([genfun_piece(p, cols, vars, images)
-                          for _, cells in face_groups for p in cells],
+                          for _, pieces in groups for p in pieces],
                          vars=vars)
 
 
@@ -646,14 +694,17 @@ def genfun_region(monoid: DiophantineMonoid, A, C, vars=None):
 
 
 def region_dump(monoid: DiophantineMonoid, A, C):
-    """Debug text for a region: one line per piece, "dim; quasigens; #box".
+    """Debug text for a region: one line per piece,
+    "sign; dim; quasigens; open quasigens; #box".
 
     Deterministic across runs for fixed inputs, so the
     output is suitable as a golden-file fixture.
     """
     lines = []
-    for _, cells in decompose_region_by_face(monoid, A, C):
-        for piece in cells:
+    for _, pieces in decompose_region_by_face(monoid, A, C):
+        for piece in pieces:
             gens = ",".join(str(tuple(r)) for r in piece.rays)
-            lines.append(f"{piece.dim}; {gens}; {piece.count_box()}")
+            opened = ",".join(str(tuple(r)) for r in piece.open_rays)
+            lines.append(f"{piece.sign:+d}; {piece.dim}; {gens}; {opened}; "
+                         f"{piece.count_box()}")
     return "\n".join(lines)

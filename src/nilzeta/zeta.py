@@ -345,9 +345,10 @@ def _region_term(face_groups, cols, vars, u_poly):
 
     The term comes out in lowest terms, so rf_sum_common may add it to
     others, or return it alone, without normalizing it again:
-    - a piece's numerator has only positive coefficients, so its sum
-      along a line x + Z e that meets it is positive, and no 1 - Z^e
-      divides it;
+    - a region of one piece has only the full +1 piece of its one top
+      simplex (every other piece comes with it); that numerator has only
+      positive coefficients, so its sum along a line x + Z e that meets
+      it is positive, and no 1 - Z^e divides it;
     - a sum of several pieces leaves rf_normalize, whose one
       pass leaves no denominator factor dividing the numerator;
     - the Gaussian weight is a nonzero polynomial in q alone (a constant
@@ -413,12 +414,16 @@ def _sweep(d, regions, n, kinds, progress):
     """Sum n cone regions into the results named in kinds (see zeta_all).
 
     Each region is (Dyck word, (q, t) map columns, Gaussian product,
-    face-grouped pieces); progress, if given, is called once per region.
-    The (q, t) terms are collected once, by Dyck word: the p-adic function
-    is the sum of the overlap summands.  Only the top-dimensional
-    (dimension D = d + d') pieces reach the topological function and c_d:
-    each adds its lattice-box count over the product of the linear forms
-    b*s - a of its rays (c_d: over the product of the b).
+    pieces grouped by top simplex); progress, if given, is called once per
+    region.  The (q, t) terms are collected once, by Dyck word: the p-adic
+    function is the sum of the overlap summands.  Only the
+    top-dimensional (dimension D = d + d') pieces reach the topological
+    function and c_d.  These are the full +1 pieces of the top simplices
+    of a D-dimensional region, one per simplex, whose box count is the
+    order of the simplex's parallelepiped group.  Each adds that count
+    over the product of the linear forms b*s - a of its rays (c_d: over
+    the product of the b).  The piece counts in the provenance count the
+    signed half-open pieces.
     """
     start = time.time()
     D = d + _dprime(d)
@@ -427,7 +432,7 @@ def _sweep(d, regions, n, kinds, progress):
     c_d = Fraction(0)
     npieces = 0
     for done, (word, cols, u_poly, groups) in enumerate(regions, 1):
-        pieces = sum(len(cells) for _, cells in groups)
+        pieces = sum(len(ps) for _, ps in groups)
         npieces += pieces
         if "padic" in kinds or "overlap" in kinds:
             acc = words.setdefault("".join(map(str, word)), [[], 0])
@@ -438,7 +443,8 @@ def _sweep(d, regions, n, kinds, progress):
         if "topological" in kinds or "c_d" in kinds:
             q_col, t_col = cols
             scale = sum(u_poly.terms.values())
-            for p in (p for _, cells in groups for p in cells if p.dim == D):
+            for p in (p for _, ps in groups for p in ps if p.dim == D):
+                assert p.sign == 1, p
                 den = {}
                 for ray in p.rays:
                     key = (sum(map(mul, ray, t_col)),

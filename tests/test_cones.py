@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, gcd, prod
+from math import ceil, floor, gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,6 +12,7 @@ from nilzeta.arith import FactoredRationalFunction, LaurentPolynomial, rf_equal
 from nilzeta.cones import (
     BoxGroup,
     DiophantineMonoid,
+    SimplicialPiece,
     box_count,
     box_points,
     decompose_region_by_face,
@@ -167,15 +168,20 @@ def _maximal_minor(rays):
     return abs(_det([list(r) for r in rows]))
 
 
-def brute_box(rays):
-    """All integer points Sum a_i r_i with a_i in (0, 1], by rational scan."""
+def brute_box(rays, open_rays=None):
+    """All integer points Sum a_i r_i with a_i in (0, 1] at the open rays
+    (by default all) and in [0, 1) at the others, by rational scan."""
+    if open_rays is None:
+        open_rays = rays
     k = len(rays)
     m = len(rays[0])
     denom = _maximal_minor(rays)
     pts = set()
     # the coefficients of a lattice point solve a k x k system of the rays'
     # coordinates, so their denominators divide any nonzero maximal minor
-    for cs in product(range(1, denom + 1), repeat=k):
+    ranges = [range(1, denom + 1) if r in open_rays else range(denom)
+              for r in rays]
+    for cs in product(*ranges):
         a = [Fraction(c, denom) for c in cs]
         x = []
         ok = True
@@ -269,19 +275,20 @@ def test_region_two_equations():
 
 
 def test_cells_partition_relint():
-    # the relint pieces of each face tile the face's interior points exactly
+    # the signed pieces of each face's relint add up, ray subset by ray
+    # subset, to the open cells that tile it: its pulling triangulation's
+    # faces whose supports cover it, each counted once
     monoid = DiophantineMonoid(4, [(1, 2, -1, -1)])
+    lattice = reference_lattice(monoid)
+    memo = {}
     total = 0
     for B in monoid.face_lattice():
-        (face, pieces), = decompose_region_by_face(monoid, B, B)
-        assert face == B
-        # pieces of a face must have supports inside B covering B
-        for p in pieces:
-            union = set()
-            for r in p.rays:
-                union |= {i for i, x in enumerate(r) if x}
-            assert union == set(B) or (not p.rays and not B)
-        total += len(pieces)
+        groups = decompose_region_by_face(monoid, B, B)
+        simplices = reference_triangulation(monoid, lattice, B, memo) or [()]
+        cells = check_signed_pieces(groups, simplices, B)
+        assert sorted(cells) == sorted(
+            reference_cells(monoid, lattice, B, memo)), B
+        total += sum(len(pieces) for _, pieces in groups)
     assert total > 0
 
 
@@ -307,20 +314,25 @@ def test_quasi_generator_example():
     assert sorted(pts) == [(0, 1, 1, 1), (0, 2, 2, 2)]
 
 
-def reference_box(rays):
-    """The box points of one cell from a Smith form of its own rays: a
+def reference_box(rays, open_rays=None):
+    """The box points of one piece from a Smith form of its own rays: a
     residue class c of the quotient lattice has coordinates V . (c / diag),
-    folded into (0, 1]."""
+    folded into (0, 1] at the open rays (by default all) and into [0, 1)
+    at the others."""
     if not rays:
         return [()]
+    if open_rays is None:
+        open_rays = rays
     diag, V = smith_normal_form([list(r) for r in zip(*rays) if any(r)])
     assert len(diag) == len(rays)
     points = []
     for c in product(*(range(s) for s in diag)):
         a = [sum(Fraction(V[j][i] * c[i], diag[i]) for i in range(len(c)))
              for j in range(len(rays))]
-        a = [x - ceil(x) + 1 for x in a]
-        assert all(0 < x <= 1 for x in a)
+        a = [x - ceil(x) + 1 if r in open_rays else x - floor(x)
+             for x, r in zip(a, rays)]
+        assert all(0 < x <= 1 if r in open_rays else 0 <= x < 1
+                   for x, r in zip(a, rays))
         point = tuple(sum(x * r[i] for x, r in zip(a, rays))
                       for i in range(len(rays[0])))
         assert all(x.denominator == 1 for x in point)
@@ -333,23 +345,28 @@ def _d4_pinned_pairs():
 
 
 def test_cell_box_points_match_a_smith_form_per_cell():
-    """Every cell of every d=3 region and of the pinned d=4 pairs reads the
-    box points and count of a Smith form of its own rays off its top
-    simplex; small cells are checked by rational scan too."""
+    """Every piece of every d=3 region and of the pinned d=4 pairs reads
+    the box points and count of a Smith form of its own rays off its top
+    simplex, folded at its open rays; and so does the open cell on every
+    face of every top simplex.  Small pieces are checked by rational scan
+    too."""
     seen = set()
     for wp in enumerate_Wd(3) + _d4_pinned_pairs():
         monoid, A, C = region_of_wpair(wp)
-        for _, cells in decompose_region_by_face(monoid, A, C):
-            for p in cells:
-                if p.rays in seen:
+        for simplex, pieces in decompose_region_by_face(monoid, A, C):
+            group = monoid._box_group(simplex)
+            faces = [SimplicialPiece(S, group) for S in _subsets(simplex)]
+            for p in pieces + faces:
+                key = (p.rays, p.open_rays)
+                if key in seen:
                     continue
-                seen.add(p.rays)
-                want = reference_box(p.rays)
+                seen.add(key)
+                want = reference_box(p.rays, p.open_rays)
                 assert p.box() == want, p
                 assert p.count_box() == len(want), p
                 if p.rays and _maximal_minor(p.rays) ** p.dim <= 256:
-                    assert set(want) == brute_box(p.rays), p
-    assert len(seen) > 400
+                    assert set(want) == brute_box(p.rays, p.open_rays), p
+    assert len(seen) > 800
 
 
 @pytest.mark.parametrize("simplex", [
@@ -358,7 +375,8 @@ def test_cell_box_points_match_a_smith_form_per_cell():
 ])
 def test_faces_read_off_a_simplex_group(simplex):
     """Every face of a simplex of index 4 gets its box from the simplex's
-    group; some proper face has points besides the sum of its rays."""
+    group, open or half-open at any subset of its rays; some proper face
+    has points besides the sum of its rays."""
     group = BoxGroup(simplex)
     assert len(group.elements()[1]) == 4
     beyond_sum = 0
@@ -369,6 +387,11 @@ def test_faces_read_off_a_simplex_group(simplex):
             assert box_count(face, group) == len(pts)
             if k < len(simplex):
                 beyond_sum += pts != [tuple(map(sum, zip(*face)))]
+            for j in range(k + 1):
+                for opened in combinations(face, j):
+                    pts = box_points(face, group, open_rays=opened)
+                    assert set(pts) == brute_box(face, opened), (face, opened)
+                    assert box_count(face, group, opened) == len(pts)
     assert beyond_sum == 1
 
 
@@ -382,23 +405,27 @@ def _image(x, cols):
 
 
 def test_box_points_through_images_on_every_d3_cell():
-    """Every cell of every d=3 region (and of the pinned d=4 pairs), in
-    both arenas: the box points mapped through the rays' images are the
-    identity points mapped through the same columns."""
+    """Every piece of every d=3 region (and of the pinned d=4 pairs), and
+    the open cell on every face of their top simplices, in both arenas:
+    the box points mapped through the rays' images are the identity
+    points mapped through the same columns."""
     checked = 0
     for wp in enumerate_Wd(3) + _d4_pinned_pairs():
         monoid, A, C = region_of_wpair(wp)
         cols = list(zip(*wp.context.qt_exponents()))
-        for _, cells in decompose_region_by_face(monoid, A, C):
-            for p in cells:
+        for simplex, pieces in decompose_region_by_face(monoid, A, C):
+            group = monoid._box_group(simplex)
+            for p in pieces + [SimplicialPiece(S, group)
+                               for S in _subsets(simplex)]:
                 for c in (cols, cols[-1:]):
                     got = box_points(p.rays, p._group,
-                                     [_image(r, c) for r in p.rays])
+                                     [_image(r, c) for r in p.rays],
+                                     p.open_rays)
                     want = sorted(_image(x, c) for x in p.box()) \
                         if p.rays else [()]
                     assert sorted(got) == want, p
                 checked += 1
-    assert checked > 400
+    assert checked > 1000
 
 
 @settings(max_examples=80, deadline=None)
@@ -414,9 +441,11 @@ def test_box_points_through_images_random_simplices(data):
     group = BoxGroup(rays)
     sel = data.draw(st.integers(min_value=1, max_value=(1 << n) - 1))
     face = [r for i, r in enumerate(rays) if sel >> i & 1]
+    opened = [r for r in face if data.draw(st.booleans())]
     images = [_image(r, cols) for r in face]
-    assert sorted(box_points(face, group, images)) == \
-        sorted(_image(x, cols) for x in box_points(face, group))
+    assert sorted(box_points(face, group, images, opened)) == \
+        sorted(_image(x, cols) for x in box_points(face, group,
+                                                    open_rays=opened))
 
 
 def _monoids_of(pairs):
@@ -429,9 +458,10 @@ def test_facets_by_supports_are_the_faces_one_dimension_down():
     less, which a rank computation finds."""
     faces = 0
     for monoid in _monoids_of(enumerate_Wd(3) + _d4_pinned_pairs()).values():
-        for b in monoid._faces_within((1 << monoid.num_vars) - 1):
+        lattice = monoid._faces_within((1 << monoid.num_vars) - 1)
+        for b in lattice:
             dim = monoid._face_dim(b)
-            assert monoid._facets(b) == [
+            assert monoid._facets(b, lattice) == [
                 f for f in monoid._faces_within(b)
                 if f != b and monoid._face_dim(f) == dim - 1], b
             faces += 1
@@ -458,8 +488,10 @@ def test_one_rank_computation_per_region(monkeypatch):
 
 
 def test_one_smith_form_per_top_simplex(monkeypatch):
-    """Over the pinned d=4 pairs, each on a fresh monoid, the cells of all
-    the region's faces share the Smith forms of the top face's simplices."""
+    """Over the d=3 pairs and the pinned d=4 pairs, each on a fresh
+    monoid, the pieces come grouped by the top face's simplices, every
+    simplex has a group, and all the pieces of a simplex share its one
+    Smith form, though some simplices have several."""
     calls = []
     original = cones.smith_normal_form
 
@@ -468,22 +500,23 @@ def test_one_smith_form_per_top_simplex(monkeypatch):
         return original(M)
 
     monkeypatch.setattr(cones, "smith_normal_form", counted)
-    tops = cells = 0
-    for wp in _d4_pinned_pairs():
-        monoid = SigmaContext(4, wp.sigma).monoid
+    tops = pieces = 0
+    for wp in enumerate_Wd(3) + _d4_pinned_pairs():
+        monoid = SigmaContext(wp.d, wp.sigma).monoid
         A, C = wp.region_sets()
         groups = decompose_region_by_face(monoid, A, C)
-        for _, face_cells in groups:
-            for p in face_cells:
+        for _, simplex_pieces in groups:
+            for p in simplex_pieces:
                 p.box()
                 p.count_box()
-                cells += 1
+                pieces += 1
         top = frozenset().union(*(monoid.support(r) for r in monoid.rays()
                                   if monoid.support(r) <= C))
-        assert groups[-1][0] == top
-        tops += len(monoid.triangulation(top))
+        simplices = monoid.triangulation(top) if A <= top else []
+        assert [s for s, _ in groups] == simplices
+        tops += len(simplices)
     assert len(calls) == tops
-    assert 4 * tops < cells
+    assert tops < pieces
 
 
 def test_a_region_triangulates_only_its_top_face():
@@ -507,12 +540,15 @@ def test_a_region_triangulates_only_its_top_face():
 def test_region_dump_golden():
     from nilzeta.cones import region_dump
     monoid = DiophantineMonoid(4, [(1, 2, -1, -1)])
+    # no coordinate asked positive: the one closed simplex, origin included
     dump = region_dump(monoid, frozenset(), frozenset({1, 2, 3}))
+    assert dump == "+1; 2; (0, 1, 0, 2),(0, 1, 2, 0); ; 2"
+    dump = region_dump(monoid, frozenset({0, 1}), frozenset({0, 1, 2, 3}))
     assert dump == "\n".join([
-        "0; ; 1",
-        "1; (0, 1, 2, 0); 1",
-        "1; (0, 1, 0, 2); 1",
-        "2; (0, 1, 0, 2),(0, 1, 2, 0); 2",
+        "+1; 3; (0, 1, 0, 2),(0, 1, 2, 0),(1, 0, 1, 0); (1, 0, 1, 0); 2",
+        "-1; 1; (1, 0, 1, 0); (1, 0, 1, 0); 1",
+        "+1; 3; (0, 1, 0, 2),(1, 0, 0, 1),(1, 0, 1, 0); "
+        "(0, 1, 0, 2),(1, 0, 0, 1); 1",
     ])
 
 
@@ -576,6 +612,46 @@ def reference_cells(monoid, lattice, B, memo):
     return out
 
 
+def _subsets(simplex):
+    return [tuple(r for i, r in enumerate(simplex) if sel >> i & 1)
+            for sel in range(1 << len(simplex))]
+
+
+def reference_kept(simplices, A):
+    """The open-cell rule, simplex by simplex: the ray subsets of each top
+    simplex whose supports cover A and that lie in no earlier simplex."""
+    return [{S for S in _subsets(simplex)
+             if A <= frozenset().union(*map(_support, S))
+             and not any(set(S) <= set(e) for e in simplices[:i])}
+            for i, simplex in enumerate(simplices)]
+
+
+def check_signed_pieces(groups, simplices, A):
+    """The signed pieces of each top simplex add up, ray subset by ray
+    subset, to the open cells the open-cell rule keeps there: for every
+    subset S, Sum sign [open rays <= S <= rays] is 1 if S is kept and 0
+    if not.  Each simplex that keeps a cell has one full +1 piece.
+    Returns the kept cells."""
+    by_simplex = dict(groups)
+    assert len(by_simplex) == len(groups)
+    assert set(by_simplex) <= set(simplices)
+    cells = []
+    for simplex, kept in zip(simplices, reference_kept(simplices, A)):
+        pieces = by_simplex.get(simplex, [])
+        assert bool(pieces) == bool(kept), simplex
+        for p in pieces:
+            assert p.sign in (1, -1)
+            assert set(p.open_rays) <= set(p.rays) <= set(simplex), p
+        full = [p for p in pieces if p.rays == simplex]
+        assert not pieces or [p.sign for p in full] == [1], simplex
+        for S in _subsets(simplex):
+            total = sum(p.sign for p in pieces
+                        if set(p.open_rays) <= set(S) <= set(p.rays))
+            assert total == (S in kept), (simplex, S)
+        cells.extend(kept)
+    return cells
+
+
 def check_faces_and_regions(monoid, regions):
     lattice = reference_lattice(monoid)
     assert monoid.face_lattice() == lattice
@@ -588,11 +664,31 @@ def check_faces_and_regions(monoid, regions):
             monoid, lattice, B, memo), B
     for A, C in regions:
         A, C = frozenset(A), frozenset(C)
-        got = [(B, [p.rays for p in cells])
-               for B, cells in decompose_region_by_face(monoid, A, C)]
-        want = [(B, reference_cells(monoid, lattice, B, memo))
-                for B in lattice if A <= B <= C]
-        assert got == want, (A, C)
+        top = [B for B in lattice if B <= C][-1]
+        groups = decompose_region_by_face(monoid, A, C)
+        if not A <= top:
+            assert groups == [], (A, C)
+            continue
+        simplices = reference_triangulation(monoid, lattice, top, memo) \
+            or [()]
+        cells = check_signed_pieces(groups, simplices, A)
+        # the kept cells tile the region: the cells of each face between
+        # A and C, each once
+        want = [S for B in lattice if A <= B <= C
+                for S in reference_cells(monoid, lattice, B, memo)]
+        assert sorted(cells) == sorted(want), (A, C)
+
+
+def test_signed_pieces_of_the_pinned_d4_regions():
+    """The open-cell rule, against the pulling triangulation of each
+    pinned d=4 pair's top face."""
+    for wp in _d4_pinned_pairs():
+        monoid, A, C = region_of_wpair(wp)
+        top = frozenset().union(*(monoid.support(r) for r in monoid.rays()
+                                  if monoid.support(r) <= C))
+        groups = decompose_region_by_face(monoid, A, C)
+        cells = check_signed_pieces(groups, monoid.triangulation(top), A)
+        assert len(cells) > len(groups), wp
 
 
 @settings(max_examples=60, deadline=None)

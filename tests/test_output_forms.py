@@ -176,30 +176,40 @@ def _in_lowest_terms(f):
 
 def test_region_terms_arrive_in_lowest_terms():
     """What lets rf_sum_common return a lone term as it is, and the sums
-    over pairs skip a second normalize: pieces have positive numerators,
-    and face sums and region terms have no factor left to cancel."""
+    over pairs skip a second normalize: each piece's numerator has only
+    coefficients of its sign, and the full +1 piece of each top simplex,
+    a region's only piece when it has one, has only positive ones; the
+    sums of each simplex's pieces and the region terms have no factor left
+    to cancel."""
+    lone = 0
     for wp in enumerate_Wd(3) + _d4_pairs():
         monoid, A, C = region_of_wpair(wp)
         groups = decompose_region_by_face(monoid, A, C)
         cols = list(zip(*wp.context.qt_exponents()))
         u_poly = _gaussian_product(wp)
         for vars in (QT, T):
-            for _, cells in groups:
-                pieces = [genfun_piece(p, cols[-len(vars):], vars)
-                          for p in cells]
-                assert all(c > 0 for p in pieces
-                           for c in p.num.terms.values()), wp
-                assert _in_lowest_terms(rf_sum_common(pieces, vars=vars)), wp
+            for simplex, pieces in groups:
+                forms = [genfun_piece(p, cols[-len(vars):], vars)
+                         for p in pieces]
+                assert all(c * p.sign > 0 for p, f in zip(pieces, forms)
+                           for c in f.num.terms.values()), wp
+                assert [p.sign for p in pieces if p.rays == simplex] == [1]
+                assert _in_lowest_terms(rf_sum_common(forms, vars=vars)), wp
+            if sum(len(pieces) for _, pieces in groups) == 1:
+                (simplex, (piece,)), = groups
+                assert piece.rays == simplex and piece.sign == 1
+                lone += 1
             assert _in_lowest_terms(
                 _region_term(groups, cols, vars, u_poly)), wp
+    assert lone > 0
 
 
 def test_flat_region_sum_keeps_the_per_face_form():
     """genfun_faces sums a region's pieces in one pass.  One normalize of
-    the flat sum need not give the same form as normalizing per face and
-    then across faces (a function has several lowest-terms forms over
-    binomials), so the two are compared form for form: numerator terms and
-    denominator multiset."""
+    the flat sum need not give the same form as normalizing per top
+    simplex and then across simplices (a function has several
+    lowest-terms forms over binomials), so the two are compared form for
+    form: numerator terms and denominator multiset."""
     for wp in enumerate_Wd(3) + _d4_pairs():
         monoid, A, C = region_of_wpair(wp)
         groups = decompose_region_by_face(monoid, A, C)
@@ -207,16 +217,16 @@ def test_flat_region_sum_keeps_the_per_face_form():
         for vars in (QT, T):
             c = cols[-len(vars):]
             nested = rf_sum_common(
-                [rf_sum_common([genfun_piece(p, c, vars) for p in cells],
+                [rf_sum_common([genfun_piece(p, c, vars) for p in pieces],
                                vars=vars)
-                 for _, cells in groups], vars=vars)
+                 for _, pieces in groups], vars=vars)
             flat = genfun_faces(groups, c, vars)
             assert (flat.num.terms, flat.den) == \
                 (nested.num.terms, nested.den), (wp, vars)
 
 
 def test_region_sums_push_through_the_map():
-    """The face-grouped sum under the (q, t) map is the identity-map region
+    """The region's signed sum under the (q, t) map is the identity-map region
     generating function with the map substituted afterwards."""
     for wp in enumerate_Wd(3) + _d4_pairs():
         monoid, A, C = region_of_wpair(wp)

@@ -36,8 +36,9 @@ def test_every_probe_target_exists():
 
 def test_box_points_probe_sees_every_cell(monkeypatch):
     """The traced cones.box_points count of a d=3 p-adic sweep is the
-    number of box points of the cells it visits: each cell still gets its
-    points through the probed module-level function."""
+    number of box points of the signed half-open pieces it visits: each
+    piece still gets its points through the probed module-level function,
+    and the pieces of the pairs' regions are all it visits."""
     from nilzeta import zeta
 
     monkeypatch.setattr(zeta, "_sigma_cache", {})
@@ -47,10 +48,11 @@ def test_box_points_probe_sees_every_cell(monkeypatch):
         zeta.zeta_all(3, ("padic",))
     finally:
         tracer.uninstall()
-    cells = {}
+    points = pieces = 0
     for wp in zeta.enumerate_Wd(3):
         monoid, A, C = zeta.region_of_wpair(wp)
-        for _, face_cells in zeta.decompose_region_by_face(monoid, A, C):
-            cells.update((id(p), p) for p in face_cells)
-    assert tracer.counts["cones.box_points"] == \
-        sum(len(p.box()) for p in cells.values()) > 0
+        for _, simplex_pieces in zeta.decompose_region_by_face(monoid, A, C):
+            pieces += len(simplex_pieces)
+            points += sum(len(p.box()) for p in simplex_pieces)
+    assert tracer.counts["cones.pieces"] == pieces > 0
+    assert tracer.counts["cones.box_points"] == points > pieces

@@ -356,7 +356,7 @@ def test_no_overlap_routes_agree():
 def test_no_overlap_sign_patterns_are_pinned():
     """via_H sums 2^(d-1) 2^(d'-1) sign patterns, calling progress once
     for each, and reports them as its pairs."""
-    for d, pieces in ((2, 12), (3, 160)):
+    for d, pieces in ((2, 3), (3, 32)):
         calls = []
         res = zeta_no_overlap(d, progress=lambda k, n: calls.append((k, n)))
         n = 2 ** (d - 1) * 2 ** (d * (d - 1) // 2 - 1)
