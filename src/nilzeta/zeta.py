@@ -336,7 +336,7 @@ def no_overlap_exponents(d):
 _U_IMAGE = {QT: [(-1, 0)], T: [(0,)]}
 
 
-def _region_term(face_groups, cols, vars, u_poly):
+def _region_term(groups, cols, vars, u_poly):
     """A region's generating function in the arena vars (QT, or T for the
     q -> 1 limit), times the Gaussian product u_poly.
 
@@ -356,7 +356,7 @@ def _region_term(face_groups, cols, vars, u_poly):
       positive degree in t, so the weight shares no factor with the
       denominator.
     """
-    f = genfun_faces(face_groups, cols[-len(vars):], vars)
+    f = genfun_faces(groups, cols[-len(vars):], vars)
     weight = u_poly.substitute_monomials(_U_IMAGE[vars], vars)
     return FactoredRationalFunction(poly_mul(f.num, weight), f.den)
 
