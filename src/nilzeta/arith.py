@@ -85,14 +85,8 @@ class LaurentPolynomial:
 
     def __add__(self, other):
         _check_same_arena(self, other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            elif e in terms:
-                del terms[e]
-        return LaurentPolynomial(self.vars, terms)
+        return LaurentPolynomial(self.vars,
+                                 _add_terms(dict(self.terms), other.terms))
 
     def __neg__(self):
         return LaurentPolynomial(self.vars, {e: -c for e, c in self.terms.items()})

@@ -7,6 +7,8 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
+from fractions import Fraction
 from math import isqrt
 
 from . import zeta as zmod
@@ -90,11 +92,7 @@ def render_latex(value):
 
 def render(result, fmt):
     if fmt == "json":
-        return json.dumps({
-            "d": result.d, "kind": result.kind,
-            "value": result.value.to_json_obj(),
-            "provenance": result.provenance,
-        }, sort_keys=True)
+        return json.dumps(result.to_json_obj(), sort_keys=True)
     if fmt == "latex":
         return render_latex(result.value)
     return repr(result.value)
@@ -258,16 +256,9 @@ def cmd_oracle(args):
 def cmd_report(args):
     rep = _pole_report(args.d, zmod.zeta_all(
         args.d, SUITE_KINDS["pole"], progress=heartbeat()))
-    obj = {
-        "d": rep.d,
-        "reduced_order_at_1": rep.reduced_order_at_1,
-        "reduced_residue_at_1": str(rep.reduced_residue_at_1),
-        "top_degree": rep.top_degree,
-        "top_residue_at_0": str(rep.top_residue_at_0),
-        "top_limit_at_infinity": str(rep.top_limit_at_infinity),
-        "c_d": str(rep.c_d),
-        "consistent": rep.consistent(),
-    }
+    obj = {k: str(v) if isinstance(v, Fraction) else v
+           for k, v in asdict(rep).items()}
+    obj["consistent"] = rep.consistent()
     text = json.dumps(obj, sort_keys=True) if args.format == "json" else \
         "\n".join(f"{k}: {v}" for k, v in obj.items())
     return _emit(text, args.output)

@@ -12,7 +12,7 @@ multivariate generating function itself.
 
 A triangulation recurses over facets, which are found by their supports
 alone (the face lattice is graded); only the dimension of the face where
-it starts takes a rank computation.
+it starts takes a rank, read off a Smith normal form of its rays.
 
 A region is cut into signed half-open simplicial pieces, in one pass over
 the simplices of the pulling triangulation of its top face.  The open
@@ -44,37 +44,6 @@ from .arith import FactoredRationalFunction, LaurentPolynomial, rf_sum_common
 
 # ---------------------------------------------------------------------------
 # Exact linear algebra helpers.
-
-
-def matrix_rank(rows):
-    """Rank over Q of a list of integer row vectors.
-
-    The elimination is fraction-free (cross-multiplication), which is much
-    faster than Fraction arithmetic.
-    """
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        pc = pr[col]
-        for i in range(rank + 1, len(rows)):
-            ric = rows[i][col]
-            if ric:
-                g = gcd(pc, ric)
-                fp, fi = pc // g, ric // g
-                rows[i] = [fp * a - fi * b for a, b in zip(rows[i], pr)]
-        rank += 1
-        col += 1
-    return rank
 
 
 def _primitive(vec):
@@ -115,8 +84,9 @@ def smith_normal_form(M):
     U.
 
     M is a list of rows of an m x k integer matrix; V is k x k.  Column j of
-    M V is diag[j] times a column of U^-1, and zero past the rank.  U itself
-    is not tracked: the box points read only diag and V.
+    M V is diag[j] times a column of U^-1, and zero past the rank, which
+    is len(diag).  U itself is not tracked: the box points read only diag
+    and V, and face dimensions only diag.
     """
     m = len(M)
     k = len(M[0]) if m else 0
@@ -448,7 +418,6 @@ class DiophantineMonoid:
         self._ray_masks = None
         self._within = {}
         self._tri = {}
-        self._groups = {}
         self._fdim = {}
 
     def rays(self):
@@ -484,8 +453,8 @@ class DiophantineMonoid:
         Returns a list of maximal simplices, each a tuple of rays.  The
         first ray of the face in extreme_rays' sorted order is pulled; the
         simplices are that ray joined with the triangulations of the facets
-        not containing it.  Only the face's own dimension is a rank
-        computation; its facets are found by their supports (_facets).
+        not containing it.  Only the face's own dimension takes a Smith
+        form (_face_dim); its facets are found by their supports (_facets).
         """
         b = _mask(B)
         return self._triangulation(b, self._face_dim(b),
@@ -524,9 +493,12 @@ class DiophantineMonoid:
         return [r for r in rays if masks[r] & b == masks[r]]
 
     def _face_dim(self, b):
+        """Dimension of face b: the rank of its rays, the number of
+        nonzero invariant factors of the matrix whose rows they are."""
         dim = self._fdim.get(b)
         if dim is None:
-            dim = self._fdim[b] = matrix_rank(self._face_rays(b))
+            diag, _ = smith_normal_form(self._face_rays(b))
+            dim = self._fdim[b] = len(diag)
         return dim
 
     def _facets(self, b, faces):
@@ -549,7 +521,7 @@ class DiophantineMonoid:
         """The pulling triangulation of face b (see triangulation), given
         b's dimension dim and a list of faces holding those inside b (see
         _facets); each facet is triangulated with dim - 1, so no face
-        below b takes a rank computation."""
+        below b takes a Smith form."""
         out = self._tri.get(b)
         if out is not None:
             return out
@@ -564,12 +536,6 @@ class DiophantineMonoid:
                    for simplex in self._triangulation(f, dim - 1, faces)]
         self._tri[b] = out
         return out
-
-    def _box_group(self, simplex):
-        group = self._groups.get(simplex)
-        if group is None:
-            group = self._groups[simplex] = BoxGroup(simplex)
-        return group
 
 
 def decompose_region_by_face(monoid: DiophantineMonoid, A, C):
@@ -595,6 +561,10 @@ def decompose_region_by_face(monoid: DiophantineMonoid, A, C):
     rays outside the union of T, with the open rays and sign (-1)^|T|.  The
     full simplex (T empty) is the only term that leaves out no ray.  A
     simplex with an empty set to meet adds nothing.
+
+    The top face's dimension is the region's one Smith form here; each
+    top simplex's pieces share its BoxGroup, built here, whose Smith form
+    waits for the first box points asked of it.
     """
     a = _mask(A)
     faces = monoid._faces_within(_mask(C))
@@ -622,7 +592,7 @@ def decompose_region_by_face(monoid: DiophantineMonoid, A, C):
                 minimal.append(h)
         opened = [r for r in simplex if bit[r] in minimal]
         rest = [h for h in minimal if h & (h - 1)]
-        group = monoid._box_group(simplex)
+        group = BoxGroup(simplex)
         pieces = []
         for sel in range(1 << len(rest)):
             left_out = 0

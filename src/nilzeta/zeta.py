@@ -372,6 +372,13 @@ class ZetaResult:
     value: object
     provenance: dict = field(default_factory=dict)
 
+    def to_json_obj(self):
+        """The cache file's object, and --format json's: the cache
+        file's bytes follow this key order."""
+        return {"d": self.d, "kind": self.kind,
+                "value": self.value.to_json_obj(),
+                "provenance": self.provenance}
+
 
 def _pair_regions(d, pairs):
     """Yield each pair's region for _sweep, in the order of pairs.
@@ -709,17 +716,11 @@ def store_result(cache_dir, result: ZetaResult):
     """Write the result atomically: a killed or concurrent writer never
     leaves a partial file under the cache name."""
     os.makedirs(cache_dir, exist_ok=True)
-    obj = {
-        "d": result.d,
-        "kind": result.kind,
-        "value": result.value.to_json_obj(),
-        "provenance": result.provenance,
-    }
     path = cache_path(cache_dir, result.d, result.kind)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            json.dump(obj, fh)
+            json.dump(result.to_json_obj(), fh)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -760,6 +761,9 @@ def load_result(cache_dir, d, kind):
 
 def _revalidation_failure(d, kind, stored, value):
     """Why a decoded cache entry cannot be trusted, or None if it can."""
+    if value.is_zero():
+        # it would pass the functional equation, and has no degree
+        return "zero function"
     if stored != (d, kind):
         return f"holds d={stored[0]} kind {stored[1]}"
     D = d + _dprime(d)

@@ -232,6 +232,31 @@ def test_report_command(capsys):
     assert obj["d"] == 2
 
 
+REPORT_D3 = """\
+d: 3
+reduced_order_at_1: 6
+reduced_residue_at_1: 25/54
+top_degree: -6
+top_residue_at_0: -1/120
+top_limit_at_infinity: 25/54
+c_d: 25/54
+consistent: True
+"""
+
+REPORT_D3_JSON = (
+    '{"c_d": "25/54", "consistent": true, "d": 3, "reduced_order_at_1": 6, '
+    '"reduced_residue_at_1": "25/54", "top_degree": -6, '
+    '"top_limit_at_infinity": "25/54", "top_residue_at_0": "-1/120"}\n')
+
+
+def test_report_lines_are_pinned(capsys):
+    """The exact d=3 report, as text (the PoleReport fields in order, then
+    consistent) and as JSON."""
+    assert run(capsys, "report", "--d", "3")[:2] == (0, REPORT_D3)
+    assert run(capsys, "report", "--d", "3", "--format", "json")[:2] == \
+        (0, REPORT_D3_JSON)
+
+
 def test_truncated_cache_file_is_a_miss(tmp_path, capsys):
     cache = tmp_path / "cache"
     args = ("compute", "--d", "2", "--format", "text", "--cache-dir",
@@ -303,10 +328,31 @@ def test_concurrent_writers_share_one_cache(tmp_path, capsys):
     assert sorted(os.listdir(cache)) == ["v1_d2_padic.json"]
 
 
-@pytest.mark.parametrize("kind", [["padic"], ["overlap", "--word", "01"],
-                                  ["reduced"]],
-                         ids=["padic", "overlap", "reduced"])
-def test_cache_file_failing_revalidation_is_a_miss(tmp_path, capsys, kind):
+def _bump_coefficient(value):
+    coeff = value["num"][0]
+    coeff[0] = str(int(coeff[0]) + 1)
+
+
+def _bump_denominator(value):
+    # one more denominator factor lowers the degree
+    value["den"][0][0] += 1
+
+
+def _zero(value):
+    value["num"] = []
+
+
+@pytest.mark.parametrize("kind, tamper", [
+    (["padic"], _bump_coefficient),
+    (["overlap", "--word", "01"], _bump_coefficient),
+    (["reduced"], _bump_coefficient),
+    (["topological"], _bump_denominator),
+], ids=["padic", "overlap", "reduced", "topological"])
+def test_cache_file_failing_revalidation_is_a_miss(tmp_path, capsys, kind,
+                                                   tamper):
+    """A tampered entry, and a zeroed one, of every kind: one cache: line,
+    then the clean output from a recomputation, which a third request
+    reads back as a hit."""
     cache = tmp_path / "cache"
     args = ("compute", "--d", "2", "--kind", *kind, "--format", "text",
             "--cache-dir", str(cache))
@@ -314,15 +360,31 @@ def test_cache_file_failing_revalidation_is_a_miss(tmp_path, capsys, kind):
     assert code == 0
     [name] = os.listdir(cache)
     path = cache / name
-    obj = json.loads(path.read_text())
-    coeff = obj["value"]["num"][0]
-    coeff[0] = str(int(coeff[0]) + 1)
-    path.write_text(json.dumps(obj))
-    code, out, err = run(capsys, *args)
-    assert (code, out) == (0, clean)
-    reasons = [line for line in err.splitlines() if line.startswith("cache:")]
-    assert len(reasons) == 1 and name in reasons[0]
-    assert run(capsys, *args)[1:] == (clean, "")
+    for change in (tamper, _zero):
+        obj = json.loads(path.read_text())
+        change(obj["value"])
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (0, clean), change.__name__
+        reasons = [line for line in err.splitlines()
+                   if line.startswith("cache:")]
+        assert len(reasons) == 1 and name in reasons[0], err
+        if change is _zero:
+            assert reasons[0].endswith(": zero function")
+        assert run(capsys, *args)[1:] == (clean, "")
+
+
+def test_cache_file_key_order(tmp_path, capsys):
+    """A cache file holds d, kind, value and provenance, in that order,
+    as json.dump writes them."""
+    cache = tmp_path / "cache"
+    assert run(capsys, "compute", "--d", "2", "--cache-dir", str(cache))[0] \
+        == 0
+    [name] = os.listdir(cache)
+    text = (cache / name).read_text()
+    obj = json.loads(text)
+    assert list(obj) == ["d", "kind", "value", "provenance"]
+    assert text == json.dumps(obj)
 
 
 @pytest.mark.parametrize("argv", [

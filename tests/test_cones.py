@@ -19,18 +19,21 @@ from nilzeta.cones import (
     extreme_rays,
     feasible,
     genfun_region,
-    matrix_rank,
     smith_normal_form,
 )
 from nilzeta.zeta import SigmaContext, WPair, enumerate_Wd, region_of_wpair
 from test_output_forms import D4_PAIRS
 
 
-def test_matrix_rank():
-    assert matrix_rank([]) == 0
-    assert matrix_rank([(1, 2), (2, 4)]) == 1
-    assert matrix_rank([(1, 0, 0), (0, 1, 0), (1, 1, 0)]) == 2
-    assert matrix_rank([(1, 2, 3), (4, 5, 6), (7, 8, 10)]) == 3
+def rank(rows):
+    return len(smith_normal_form(rows)[0])
+
+
+def test_rank_from_smith_form():
+    assert rank([]) == 0
+    assert rank([(1, 2), (2, 4)]) == 1
+    assert rank([(1, 0, 0), (0, 1, 0), (1, 1, 0)]) == 2
+    assert rank([(1, 2, 3), (4, 5, 6), (7, 8, 10)]) == 3
 
 
 def _det(A):
@@ -111,7 +114,7 @@ def brute_rays(equations, num_vars, bound=6):
         # x spans an extreme ray iff the face it generates is 1-dimensional
         face = [y for y in sols
                 if frozenset(i for i, v in enumerate(y) if v) <= sup]
-        if matrix_rank(face) == 1:
+        if rank(face) == 1:
             g = 0
             from math import gcd
             for v in x:
@@ -162,7 +165,7 @@ def _maximal_minor(rays):
     """|a nonzero k x k minor| of the matrix whose columns are the k rays."""
     rows = []
     for row in zip(*rays):
-        if matrix_rank(rows + [row]) > len(rows):
+        if rank(rows + [row]) > len(rows):
             rows.append(row)
     assert len(rows) == len(rays)
     return abs(_det([list(r) for r in rows]))
@@ -301,7 +304,7 @@ def test_triangulation_simplex_counts():
     # a 3-dimensional cone with 4 extreme rays triangulates into 2 simplices
     assert len(tri) == 2
     for s in tri:
-        assert matrix_rank(s) == len(s) == 3
+        assert rank(s) == len(s) == 3
 
 
 def test_quasi_generator_example():
@@ -354,7 +357,7 @@ def test_cell_box_points_match_a_smith_form_per_cell():
     for wp in enumerate_Wd(3) + _d4_pinned_pairs():
         monoid, A, C = region_of_wpair(wp)
         for simplex, pieces in decompose_region_by_face(monoid, A, C):
-            group = monoid._box_group(simplex)
+            group = BoxGroup(simplex)
             faces = [SimplicialPiece(S, group) for S in _subsets(simplex)]
             for p in pieces + faces:
                 key = (p.rays, p.open_rays)
@@ -414,7 +417,7 @@ def test_box_points_through_images_on_every_d3_cell():
         monoid, A, C = region_of_wpair(wp)
         cols = list(zip(*wp.context.qt_exponents()))
         for simplex, pieces in decompose_region_by_face(monoid, A, C):
-            group = monoid._box_group(simplex)
+            group = BoxGroup(simplex)
             for p in pieces + [SimplicialPiece(S, group)
                                for S in _subsets(simplex)]:
                 for c in (cols, cols[-1:]):
@@ -435,7 +438,7 @@ def test_box_points_through_images_random_simplices(data):
     n = data.draw(st.integers(min_value=1, max_value=m))
     entry = st.integers(min_value=-3, max_value=3)
     rays = [tuple(data.draw(entry) for _ in range(m)) for _ in range(n)]
-    assume(matrix_rank(rays) == n)
+    assume(rank(rays) == n)
     cols = [tuple(data.draw(entry) for _ in range(m))
             for _ in range(data.draw(st.integers(min_value=1, max_value=2)))]
     group = BoxGroup(rays)
@@ -469,17 +472,18 @@ def test_facets_by_supports_are_the_faces_one_dimension_down():
 
 
 def test_one_rank_computation_per_region(monkeypatch):
-    """Cutting a region into cells on a fresh monoid runs matrix_rank at
-    most once, for the dimension of its top face: each d=3 pair and each
-    pinned d=4 pair."""
+    """Cutting a region into cells on a fresh monoid takes at most one
+    Smith form, the rank of its top face's rays: each d=3 pair and each
+    pinned d=4 pair.  The top simplices' BoxGroups take theirs only when
+    box points are asked for, which the cut does not do."""
     calls = []
-    original = cones.matrix_rank
+    original = cones.smith_normal_form
 
-    def counted(rows):
-        calls.append(rows)
-        return original(rows)
+    def counted(M):
+        calls.append(M)
+        return original(M)
 
-    monkeypatch.setattr(cones, "matrix_rank", counted)
+    monkeypatch.setattr(cones, "smith_normal_form", counted)
     for wp in enumerate_Wd(3) + _d4_pinned_pairs():
         A, C = wp.region_sets()
         calls.clear()
@@ -491,7 +495,11 @@ def test_one_smith_form_per_top_simplex(monkeypatch):
     """Over the d=3 pairs and the pinned d=4 pairs, each on a fresh
     monoid, the pieces come grouped by the top face's simplices, every
     simplex has a group, and all the pieces of a simplex share its one
-    Smith form, though some simplices have several."""
+    Smith form, though some simplices have several.
+
+    The count is of every Smith form taken: one per top simplex, for its
+    BoxGroup, and one per region that has a top face holding A, for that
+    face's rank."""
     calls = []
     original = cones.smith_normal_form
 
@@ -500,7 +508,7 @@ def test_one_smith_form_per_top_simplex(monkeypatch):
         return original(M)
 
     monkeypatch.setattr(cones, "smith_normal_form", counted)
-    tops = pieces = 0
+    tops = pieces = ranks = 0
     for wp in enumerate_Wd(3) + _d4_pinned_pairs():
         monoid = SigmaContext(wp.d, wp.sigma).monoid
         A, C = wp.region_sets()
@@ -515,7 +523,8 @@ def test_one_smith_form_per_top_simplex(monkeypatch):
         simplices = monoid.triangulation(top) if A <= top else []
         assert [s for s, _ in groups] == simplices
         tops += len(simplices)
-    assert len(calls) == tops
+        ranks += A <= top
+    assert len(calls) == tops + ranks
     assert tops < pieces
 
 
@@ -586,7 +595,7 @@ def reference_triangulation(monoid, lattice, B, memo):
     """Pulling triangulation of face B over its maximal proper faces."""
     if B not in memo:
         rays = [r for r in monoid.rays() if _support(r) <= B]
-        if len(rays) == matrix_rank(rays):
+        if len(rays) == rank(rays):
             memo[B] = [tuple(rays)] if rays else []
         else:
             v = rays[0]
