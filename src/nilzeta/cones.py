@@ -494,11 +494,12 @@ class DiophantineMonoid:
 
     def _face_dim(self, b):
         """Dimension of face b: the rank of its rays, the number of
-        nonzero invariant factors of the matrix whose rows they are."""
+        nonzero invariant factors of the matrix whose columns they are
+        (less its zero rows, as in BoxGroup.elements)."""
         dim = self._fdim.get(b)
         if dim is None:
-            diag, _ = smith_normal_form(self._face_rays(b))
-            dim = self._fdim[b] = len(diag)
+            M = [row for row in zip(*self._face_rays(b)) if any(row)]
+            dim = self._fdim[b] = len(smith_normal_form(M)[0])
         return dim
 
     def _facets(self, b, faces):
