@@ -25,10 +25,6 @@ class NotDivisible(Exception):
     """Raised when an exact polynomial division does not come out even."""
 
 
-class SingularSubstitution(Exception):
-    """Raised when a substitution maps a denominator factor to (1 - 1) = 0."""
-
-
 class ArenaMismatch(Exception):
     """Raised when operands live in different variable arenas."""
 
@@ -209,14 +205,6 @@ def poly_exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynom
                 del ra[key]
     shift = tuple(x - y for x, y in zip(sa, sb))
     return LaurentPolynomial(a.vars, quot).shift(shift)
-
-
-def _binomial_poly(vars, e):
-    """The polynomial 1 - Z^e."""
-    one = (0,) * len(vars)
-    if tuple(e) == one:
-        raise ValueError("(1 - 1) is not a valid factor")
-    return LaurentPolynomial(vars, {one: 1, tuple(e): -1})
 
 
 def poly_mul_binomial(a: LaurentPolynomial, e, m=1) -> LaurentPolynomial:
@@ -531,29 +519,6 @@ def rf_with_denominator(f: FactoredRationalFunction, den):
     return num
 
 
-def rf_substitute(f: FactoredRationalFunction, images, new_vars):
-    """Map each source variable to a monomial in new_vars.
-
-    images is one exponent vector per source variable.  A denominator factor
-    whose image exponent vanishes raises SingularSubstitution.
-    """
-    images = [tuple(i) for i in images]
-    num = f.num.substitute_monomials(images, new_vars)
-    k = len(new_vars)
-    den = {}
-    for e, m in f.den.items():
-        img = [0] * k
-        for exp, image in zip(e, images):
-            if exp:
-                for j in range(k):
-                    img[j] += exp * image[j]
-        img = tuple(img)
-        if not any(img):
-            raise SingularSubstitution(f"factor exponent {e} maps to zero")
-        den[img] = den.get(img, 0) + m
-    return rf_normalize(FactoredRationalFunction(num, den))
-
-
 def rf_invert_vars(f: FactoredRationalFunction) -> FactoredRationalFunction:
     """f with every variable replaced by its reciprocal.
 
@@ -642,13 +607,6 @@ def upoly_mul(p, q):
                 if b:
                     out[i + j] += a * b
     return upoly_trim(out)
-
-
-def upoly_eval(p, x):
-    total = Fraction(0)
-    for c in reversed(p):
-        total = total * x + c
-    return total
 
 
 def upoly_div_linear(p, b, a):

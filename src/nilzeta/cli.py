@@ -117,8 +117,13 @@ def _emit(text, output):
 def cmd_compute(args):
     cache_dir = default_cache_dir(args.cache_dir)
     kind = args.kind
-    cache_kind = kind if kind != "overlap" else f"overlap:{args.word}"
-    cache_kind = cache_kind.replace("no-overlap", "no_overlap")
+    # the key names what the entry holds: an overlap summand its word, a
+    # via_G no-overlap function its route, as their ZetaResult kinds do
+    cache_kind = kind.replace("no-overlap", "no_overlap")
+    if kind == "overlap":
+        cache_kind += f":{args.word}"
+    elif args.route == "via_G":
+        cache_kind += ":via_G"
     result = zmod.load_result(cache_dir, args.d, cache_kind)
     if result is None:
         cb = heartbeat()

@@ -14,7 +14,7 @@ those of its intersection with the centre.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .arith import LaurentPolynomial, poly_mul
 
@@ -60,10 +60,6 @@ def gaussian_multinomial(n: int, subset) -> LaurentPolynomial:
 # Partitions.
 
 
-def is_partition(lam) -> bool:
-    return all(a >= b for a, b in zip(lam, lam[1:])) and all(a >= 0 for a in lam)
-
-
 def conjugate_partition(lam):
     """The transposed Young diagram, as a tuple."""
     lam = tuple(x for x in lam if x)
@@ -89,22 +85,9 @@ def partitions_upto(length, total):
     return out
 
 
-def descent_set(sigma):
-    """Indices i with sigma(i) > sigma(i+1), 1-based."""
-    return frozenset(i + 1 for i in range(len(sigma) - 1)
-                     if sigma[i] > sigma[i + 1])
-
-
 def ascent_set(sigma):
     return frozenset(i + 1 for i in range(len(sigma) - 1)
                      if sigma[i] < sigma[i + 1])
-
-
-def coxeter_length(sigma):
-    """Number of inversions."""
-    n = len(sigma)
-    return sum(1 for i in range(n) for j in range(i + 1, n)
-               if sigma[i] > sigma[j])
 
 
 # ---------------------------------------------------------------------------
@@ -142,31 +125,6 @@ def alpha_count(lam, mu) -> LaurentPolynomial:
             ("q",), {(mk * (lk - mk) - e[0],): c for e, c in binom.terms.items()})
         out = poly_mul(out, factor)
     assert all(e[0] >= 0 for e in out.terms)
-    return out
-
-
-def alpha_alt(lam, mu) -> LaurentPolynomial:
-    """Same count via the merged-multiset product formula.
-
-    Merge lam and mu into one weakly decreasing list m of length len(lam) +
-    len(mu); with L_j = #{i : lam_i >= m_j} and M_j = #{i : mu_i >= m_j},
-    the count is the product over j of
-    binom(L_j - M_{j-1}, M_j - M_{j-1})_{q^-1} q^{M_j (L_j - M_j)(m_j - m_{j+1})}.
-    """
-    m = sorted(list(lam) + list(mu), reverse=True)
-    n = len(m)
-    L, M = lm_profile(lam, mu)
-    out = LaurentPolynomial.one(("q",))
-    for j in range(1, n + 1):
-        mj = m[j - 1]
-        mj1 = m[j] if j < n else 0
-        binom = gaussian_binomial(L[j] - M[j - 1], M[j] - M[j - 1])
-        if binom.is_zero():
-            return LaurentPolynomial.zero(("q",))
-        shift = M[j] * (L[j] - M[j]) * (mj - mj1)
-        factor = LaurentPolynomial(
-            ("q",), {(shift - e[0],): c for e, c in binom.terms.items()})
-        out = poly_mul(out, factor)
     return out
 
 
@@ -227,44 +185,6 @@ def corresponding_tuple(d, i):
 
 # ---------------------------------------------------------------------------
 # The family of admissible shuffles.
-
-
-def is_admissible_shuffle(d, sigma) -> bool:
-    """Membership in the admissible family of permutations of [2d'].
-
-    Two conditions, with d' = d(d-1)/2:
-      (i)  every prefix contains at least as many values > d' as values <= d';
-      (ii) whenever positions i < j both carry values <= d' in increasing
-           order of position but decreasing value (sigma(i) > sigma(j)),
-           the whole stretch sigma(i), ..., sigma(j) is strictly decreasing.
-    """
-    dprime = d * (d - 1) // 2
-    n = 2 * dprime
-    low = high = 0
-    for v in sigma:
-        if v <= dprime:
-            low += 1
-        else:
-            high += 1
-        if low > high:
-            return False
-    small_pos = [p for p, v in enumerate(sigma) if v <= dprime]
-    for a in range(len(small_pos)):
-        for b in range(a + 1, len(small_pos)):
-            i, j = small_pos[a], small_pos[b]
-            if sigma[i] > sigma[j]:
-                for k in range(i, j):
-                    if sigma[k] <= sigma[k + 1]:
-                        return False
-    return True
-
-
-def enumerate_script_S(d):
-    """All admissible shuffles for d generators, in lexicographic order:
-    the union of admissible_shuffles over every order of the values > d'."""
-    dprime = d * (d - 1) // 2
-    orders = permutations(range(dprime + 1, 2 * dprime + 1))
-    return sorted(s for pairs in orders for s in admissible_shuffles(d, pairs))
 
 
 def admissible_shuffles(d, pairs):
@@ -336,22 +256,6 @@ def j_set(d, sigma):
                      if pos[j] < pos[j + 1])
 
 
-def lm_profile(lam, mu):
-    """Prefix counts (L_j, M_j) of a pair of partitions along their merge.
-
-    Returns lists L, M of length len(lam) + len(mu) + 1 with L[0] = M[0] = 0,
-    where m is the merged decreasing list and L[j] counts lam-parts >= m_j.
-    """
-    m = sorted(list(lam) + list(mu), reverse=True)
-    n = len(m)
-    L = [0]
-    M = [0]
-    for j in range(1, n + 1):
-        L.append(sum(1 for x in lam if x >= m[j - 1]))
-        M.append(sum(1 for x in mu if x >= m[j - 1]))
-    return L, M
-
-
 def lm_sigma(d, sigma):
     """Prefix counts along a shuffle: L_j big values seen, M_j small values."""
     dprime = d * (d - 1) // 2
@@ -393,24 +297,3 @@ def omega_of_pair(d, lam, nu):
     lam = tuple(lam) + (0,)
     I = frozenset(i for i in range(1, d) if lam[i - 1] > lam[i])
     return I, sigma_of_pair(d, lam[:d], nu)
-
-
-def coordinates_of_pair(d, lam, nu):
-    """Difference coordinates (r, s) of a partition pair.
-
-    r_i = lam_i - lam_{i+1} for i < d, r_d = lam_d; likewise for s from nu.
-    """
-    dprime = d * (d - 1) // 2
-    lam = tuple(lam) + (0,)
-    nu = tuple(nu) + (0,)
-    r = tuple(lam[i] - lam[i + 1] for i in range(d))
-    s = tuple(nu[j] - nu[j + 1] for j in range(dprime))
-    return r, s
-
-
-def pair_from_coordinates(d, r, s):
-    """Inverse of coordinates_of_pair."""
-    dprime = d * (d - 1) // 2
-    lam = tuple(sum(r[i:]) for i in range(d))
-    nu = tuple(sum(s[j:]) for j in range(dprime))
-    return lam, nu

@@ -167,45 +167,6 @@ def smith_normal_form(M):
 
 
 # ---------------------------------------------------------------------------
-# Feasibility of rational linear inequality systems (Fourier-Motzkin).
-
-
-def feasible(ineqs, num_vars):
-    """Decide whether {x in R^n : c . x >= b for all (c, b)} is nonempty.
-
-    ineqs is a list of pairs (coeffs, bound) of integers.  Exact
-    elimination; intended for the small systems arising from cone
-    membership tests.  It stays in int: eliminating a variable multiplies
-    rows only by positive integers and adds them.
-    """
-    system = [(tuple(c), b) for c, b in ineqs]
-    for v in range(num_vars):
-        pos, neg, rest = [], [], []
-        for c, b in system:
-            if c[v] > 0:
-                pos.append((c, b))
-            elif c[v] < 0:
-                neg.append((c, b))
-            else:
-                rest.append((c, b))
-        new = rest
-        for cp, bp in pos:
-            for cn, bn in neg:
-                # eliminate x_v between cp.x >= bp and cn.x >= bn
-                a, b2 = cp[v], -cn[v]
-                c = tuple(b2 * x + a * y for x, y in zip(cp, cn))
-                new.append((c, b2 * bp + a * bn))
-        seen = set()
-        system = []
-        for c, b in new:
-            key = (c, b)
-            if key not in seen:
-                seen.add(key)
-                system.append((c, b))
-    return all(b <= 0 for _, b in system)
-
-
-# ---------------------------------------------------------------------------
 # Double description: extreme rays of {x >= 0 : A x = 0}.
 
 
@@ -662,20 +623,3 @@ def genfun_region(monoid: DiophantineMonoid, A, C, vars=None):
     identity = [[int(i == j) for i in range(n)] for j in range(n)]
     return genfun_faces(decompose_region_by_face(monoid, A, C), identity,
                         vars)
-
-
-def region_dump(monoid: DiophantineMonoid, A, C):
-    """Debug text for a region: one line per piece,
-    "sign; dim; quasigens; open quasigens; #box".
-
-    Deterministic across runs for fixed inputs, so the
-    output is suitable as a golden-file fixture.
-    """
-    lines = []
-    for _, pieces in decompose_region_by_face(monoid, A, C):
-        for piece in pieces:
-            gens = ",".join(str(tuple(r)) for r in piece.rays)
-            opened = ",".join(str(tuple(r)) for r in piece.open_rays)
-            lines.append(f"{piece.sign:+d}; {piece.dim}; {gens}; {opened}; "
-                         f"{piece.count_box()}")
-    return "\n".join(lines)

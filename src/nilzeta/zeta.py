@@ -51,7 +51,7 @@ from .combinat import (
 from .cones import (
     DiophantineMonoid,
     decompose_region_by_face,
-    feasible,
+    extreme_rays,
     genfun_faces,
 )
 
@@ -218,12 +218,11 @@ def wd_contains(d, I, sigma):
 
     sigma is a shuffle, or just its subsequence of values > d': the answer
     depends on nothing else.  A prefix of that subsequence is tested on
-    the constraints among its own values only.  Decides by exact rational
-    feasibility whether r in Q^d, with r_i > 0 exactly for the i in I
-    among [d-1] and r_d >= 0, can order the pairwise sums as sigma does:
-    the sum of an earlier value at least that of a later one, strictly
-    when the earlier value is the smaller; strict inequalities become
-    >= 1 by homogeneity, and r != 0 becomes sum(r) >= 1.
+    the constraints among its own values only.  The pair is a member when
+    some r in Q^d, with r_i > 0 exactly for the i in I among [d-1], r_d >= 0
+    and r != 0, orders the pairwise sums as sigma does: the sum of an
+    earlier value at least that of a later one, strictly when the earlier
+    value is the smaller.
 
     Two reductions keep the system small, and both are exact.  The unknowns
     are only r_i for i in I and r_d, since every other r_i is 0.  The order
@@ -231,19 +230,30 @@ def wd_contains(d, I, sigma):
     values a, b, c in that order, the constraints for a-before-b and
     b-before-c sum to the one for a-before-c, and when that one is strict
     (a < c) so is one of the two summed (a < b or b < c).
+
+    It is decided by the extreme rays of the monoid {(r, s) >= 0 :
+    (v_a - v_b) . r = s_k}, with one slack s_k for each consecutive step
+    (a, b).  The monoid lies in the orthant, so it is pointed, and the sum
+    of its rays is a point whose support is the union of theirs.  It is
+    never {0}: every value > d' has a 2 in column d, so r_d alone, with
+    every slack 0, is a ray.  Every nonzero point has r != 0, as s is
+    fixed by r.  So the pair is a member exactly when the rays' supports
+    cover r_i for every i in I and s_k for every strict step (a < b).
     """
     dp = _dprime(d)
     order = [x for x in sigma if x > dp]
     cols = sorted(I) + [d]
     n = len(cols)
     v = {x: [corresponding_tuple(d, x)[c - 1] for c in cols] for x in order}
-    # r_i >= 1 for i in I, r_d >= 0
-    ineqs = [(tuple(int(k == c) for k in range(n)), int(c < n - 1))
-             for c in range(n)]
-    ineqs += [(tuple(map(sub, v[a], v[b])), int(a < b))
-              for a, b in zip(order, order[1:])]
-    ineqs.append(((1,) * n, 1))
-    return feasible(ineqs, n)
+    steps = list(zip(order, order[1:]))
+    equations = [tuple(map(sub, v[a], v[b]))
+                 + tuple(-int(j == k) for j in range(len(steps)))
+                 for k, (a, b) in enumerate(steps)]
+    rays = extreme_rays(equations, n + len(steps))
+    covered = {i for ray in rays for i, x in enumerate(ray) if x}
+    needed = set(range(n - 1)) | {n + k for k, (a, b) in enumerate(steps)
+                                  if a < b}
+    return needed <= covered
 
 
 def _subsets_lex(n):
@@ -541,11 +551,11 @@ def zeta_no_overlap(d, route="via_H", progress=None):
     inequality, its own monoid and regions under the trivial word, through
     the sweep that sums the pairs; via_G restricts the general formula to
     shuffles with the trivial interleaving word.  Both give the same
-    rational function.
+    rational function; a via_G result names its route in its kind.
     """
     if route == "via_G":
         res = zeta_overlap(d, trivial_dyck_word(d), progress=progress)
-        res.kind = "no_overlap"
+        res.kind = "no_overlap:via_G"
         return res
     if route != "via_H":
         raise ValueError(f"unknown route {route!r}")

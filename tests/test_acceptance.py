@@ -26,7 +26,7 @@ from nilzeta.arith import (
     rf_with_denominator,
     NotDivisible,
 )
-from nilzeta.combinat import alpha_count, alpha_alt, partitions_upto
+from nilzeta.combinat import alpha_count, partitions_upto
 from nilzeta.golden import (
     C_CONSTANTS,
     golden_padic,
@@ -52,6 +52,7 @@ from nilzeta.zeta import (
     zeta_reduced,
     zeta_topological,
 )
+from reference_impls import alpha_alt
 
 SLOW = bool(os.environ.get("NILZETA_ACCEPT_SLOW"))
 CACHE = Path(__file__).resolve().parent.parent / ".nilzeta-cache"

@@ -120,6 +120,25 @@ def test_cache_round_trip_and_determinism(tmp_path, capsys):
     assert (code1, out1) == (code2, out2)
 
 
+def test_no_overlap_routes_keep_their_own_cache_entries(tmp_path, capsys):
+    """A via_G request after a via_H one runs the via_G route (it prints
+    progress) and caches it under its own key; a repeated one hits."""
+    cache = str(tmp_path / "cache")
+    base = ("compute", "--d", "3", "--kind", "no-overlap", "--format", "json",
+            "--cache-dir", cache)
+    code, out_h, err = run(capsys, *base, "--route", "via_H")
+    assert code == 0 and "progress:" in err
+    assert json.loads(out_h)["kind"] == "no_overlap"
+    code, out_g, err = run(capsys, *base, "--route", "via_G")
+    assert code == 0 and "progress:" in err
+    assert json.loads(out_g)["kind"] == "no_overlap:via_G"
+    assert json.loads(out_g)["value"] == json.loads(out_h)["value"]
+    assert sorted(os.listdir(cache)) == ["v1_d3_no_overlap.json",
+                                         "v1_d3_no_overlap_via_G.json"]
+    assert run(capsys, *base, "--route", "via_G") == (0, out_g, "")
+    assert run(capsys, *base) == (0, out_h, "")
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "envcache"
     monkeypatch.setenv("NILZETA_CACHE", str(cache))

@@ -16,7 +16,6 @@ import json
 from nilzeta.arith import (
     poly_div_binomial,
     rf_equal,
-    rf_substitute,
     rf_sum_common,
 )
 from nilzeta.cones import (
@@ -37,6 +36,7 @@ from nilzeta.zeta import (
     zeta_no_overlap,
     zeta_padic,
 )
+from reference_impls import rf_substitute
 
 # cheap W_4 pairs from bench/panel_d4.json with five different subsets I;
 # the last shuffle ends in the descending run 6,5,4,3,2,1

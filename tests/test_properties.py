@@ -10,14 +10,9 @@ from nilzeta.arith import (
     poly_mul,
     rf_equal,
     rf_invert_vars,
-    rf_substitute,
     rf_sum_common,
 )
-from nilzeta.combinat import (
-    coxeter_length,
-    descent_set,
-    gaussian_multinomial,
-)
+from nilzeta.combinat import gaussian_multinomial
 from nilzeta.cones import DiophantineMonoid, genfun_region
 from nilzeta.zeta import (
     enumerate_Wd,
@@ -25,6 +20,7 @@ from nilzeta.zeta import (
     no_overlap_monoid,
     region_of_wpair,
 )
+from reference_impls import coxeter_length, descent_set, rf_substitute
 
 
 def _vars(m):

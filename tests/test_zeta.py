@@ -17,16 +17,13 @@ from nilzeta.arith import (
 from nilzeta.combinat import (
     alpha_count,
     corresponding_tuple,
-    enumerate_script_S,
     mu_of_lambda,
     omega_of_pair,
-    pair_from_coordinates,
-    coordinates_of_pair,
     dyck_of_sigma,
     partitions_upto,
     trivial_dyck_word,
 )
-from nilzeta.cones import decompose_region_by_face, feasible
+from nilzeta.cones import decompose_region_by_face
 from nilzeta.golden import (
     C_CONSTANTS,
     golden_padic,
@@ -58,6 +55,12 @@ from nilzeta.zeta import (
     zeta_padic,
     zeta_reduced,
     zeta_topological,
+)
+from reference_impls import (
+    coordinates_of_pair,
+    enumerate_script_S,
+    feasible,
+    pair_from_coordinates,
 )
 
 
@@ -195,12 +198,19 @@ W4_DIGEST = \
 
 
 def test_wd_contains_matches_the_full_system():
+    """wd_contains against the full system, on order prefixes too, which
+    _admitted_orders asks about: a prefix is tested on the constraints
+    among its own values.  Every (I, prefix) at d = 2 and 3; at d = 4 a
+    sample of full orders, every prefix of the admitted orders, and a
+    seeded sample of the other prefixes."""
     for d in (2, 3):
         dp = d * (d - 1) // 2
+        values = range(dp + 1, 2 * dp + 1)
         for I in _subsets(d - 1):
-            for order in permutations(range(dp + 1, 2 * dp + 1)):
-                assert wd_contains(d, I, order) == \
-                    _full_system_contains(d, set(I), order), (I, order)
+            for k in range(dp + 1):
+                for prefix in permutations(values, k):
+                    assert wd_contains(d, I, prefix) == \
+                        _full_system_contains(d, set(I), prefix), (I, prefix)
     others = [(I, order) for I in _subsets(3)
               for order in permutations(range(7, 13))
               if (I, order) not in W4_ADMITTED]
@@ -210,6 +220,21 @@ def test_wd_contains_matches_the_full_system():
         expected = (I, order) in W4_ADMITTED
         assert wd_contains(4, I, order) == expected, (I, order)
         assert _full_system_contains(4, set(I), order) == expected, (I, order)
+    admitted = sorted({(I, order[:k]) for I, order in W4_ADMITTED
+                       for k in range(7)})
+    for I, prefix in admitted:
+        assert wd_contains(4, I, prefix), (I, prefix)
+        assert _full_system_contains(4, set(I), prefix), (I, prefix)
+    others = [(I, prefix) for I in _subsets(3) for k in range(7)
+              for prefix in permutations(range(7, 13), k)
+              if (I, prefix) not in admitted]
+    assert len(admitted) + len(others) == 8 * 1957
+    outcomes = set()
+    for I, prefix in random.Random(2424).sample(others, 300):
+        expected = _full_system_contains(4, set(I), prefix)
+        assert wd_contains(4, I, prefix) == expected, (I, prefix)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_w4_is_pinned():
