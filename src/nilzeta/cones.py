@@ -10,6 +10,16 @@ a prescribed set C), pushed through a monomial map: summed piece by piece,
 over all of the region's pieces at once.  The identity map gives the
 multivariate generating function itself.
 
+Slacks are inequalities.  A column whose only nonzero entry in the whole
+system is +1 or -1 is its row's slack: on the solutions it is an integer
+combination of the other coordinates, and its sign condition makes the
+row an inequality on them.  The double description runs on the other
+unknowns only, with those rows as inequalities, and reads each slack off
+its row at the end.  For the same reason Smith normal forms of rays run
+on the rows of the coordinates that are not slacks: projecting the slacks
+away is a lattice isomorphism on the solutions, so it keeps ranks,
+invariant factors and parallelepiped groups.
+
 A triangulation recurses over facets, which are found by their supports
 alone (the face lattice is graded); only the dimension of the face where
 it starts takes a rank, read off a Smith normal form of its rays.
@@ -170,32 +180,71 @@ def smith_normal_form(M):
 # Double description: extreme rays of {x >= 0 : A x = 0}.
 
 
+def _solved_columns(equations, num_vars):
+    """{row: column} of the columns that the system solves for.
+
+    A column whose only nonzero entry in the whole system is +1 or -1 is
+    its row's slack: on the solutions, the row fixes it as an integer
+    combination of the other coordinates, and x >= 0 there makes the row
+    an inequality on them.  Each row solves for at most one column, its
+    first such one.
+    """
+    rows = {}
+    for j in range(num_vars):
+        nonzero = [k for k, a in enumerate(equations) if a[j]]
+        if len(nonzero) == 1 and abs(equations[nonzero[0]][j]) == 1:
+            rows.setdefault(nonzero[0], j)
+    return rows
+
+
 def extreme_rays(equations, num_vars):
     """Primitive extreme rays of the cone {x in R^n_{>=0} : a . x = 0 for a in equations}.
 
     Double description starting from the orthant's unit rays, with the
-    combinatorial adjacency test (valid because the cone is pointed).
+    combinatorial adjacency test (valid because the cone is pointed).  The
+    columns the system solves for (_solved_columns) are not unknowns: a
+    row a . y + c s = 0 with c = +-1 becomes the inequality -c a . y >= 0
+    on the other unknowns y, and s is read off it at the end.  A ray's
+    support then also holds the inequalities it leaves slack, which are the
+    nonzero solved coordinates of the full ray, so the adjacency test sees
+    what it would see on the full system, and the rays come out the same,
+    sorted.  They stay primitive: no ray vanishes on the unknowns, as its
+    solved coordinates would vanish too.
     """
-    rays = [tuple(int(i == j) for j in range(num_vars)) for i in range(num_vars)]
-    supports = [1 << i for i in range(num_vars)]
-    for a in equations:
+    solved = _solved_columns(equations, num_vars)
+    free = [j for j in range(num_vars) if j not in solved.values()]
+    n = len(free)
+    # (row on the unknowns, True for an inequality)
+    constraints = []
+    for k, a in enumerate(equations):
+        j = solved.get(k)
+        c = 1 if j is None else -a[j]
+        constraints.append(([c * a[i] for i in free], j is not None))
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    supports = [1 << i for i in range(n)]
+    for k, (a, inequality) in enumerate(constraints):
         vals = [sum(map(mul, a, r)) for r in rays]
-        new = [(r, s) for r, s, v in zip(rays, supports, vals) if v == 0]
+        # an inequality keeps its positive side, and marks the rays that
+        # leave it slack
+        slack = 1 << (n + k)
+        new = [(r, s | slack if v else s)
+               for r, s, v in zip(rays, supports, vals)
+               if v == 0 or v > 0 and inequality]
         for p, vp in enumerate(vals):
             if vp <= 0:
                 continue
-            for n, vn in enumerate(vals):
+            for q, vn in enumerate(vals):
                 if vn >= 0:
                     continue
                 # adjacent iff no third ray has its support inside the union
-                union = supports[p] | supports[n]
+                union = supports[p] | supports[q]
                 if any(s | union == union for i, s in enumerate(supports)
-                       if i != p and i != n):
+                       if i != p and i != q):
                     continue
                 # vp > 0 > vn, so vp * rn - vn * rp is nonnegative, with
                 # the union of the two supports as its own
                 comb = tuple(vp * y + (-vn) * x
-                             for x, y in zip(rays[p], rays[n]))
+                             for x, y in zip(rays[p], rays[q]))
                 new.append((_primitive(comb), union))
         rays, supports = [], []
         seen = set()
@@ -204,7 +253,22 @@ def extreme_rays(equations, num_vars):
                 seen.add(r)
                 rays.append(r)
                 supports.append(s)
-    return sorted(rays)
+    out = []
+    for y in rays:
+        x = [0] * num_vars
+        for j, v in zip(free, y):
+            x[j] = v
+        for k, j in solved.items():
+            x[j] = sum(map(mul, constraints[k][0], y))
+        out.append(tuple(x))
+    return sorted(out)
+
+
+def _coordinate_rows(rays, skip=()):
+    """The nonzero rows of the matrix whose columns are the rays, less the
+    coordinates in skip."""
+    return [list(row) for i, row in enumerate(zip(*rays))
+            if any(row) and i not in skip]
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +290,17 @@ class BoxGroup:
     serves every face of the simplex, open or half-open: the box of a
     half-open face raises an element's zero coordinates at its open rays
     to 1.
+
+    solved names coordinates that are integer combinations of the others
+    on the rays' span (the columns a monoid's system solves for); the
+    Smith form leaves them out, which keeps the lattice and the group.
     """
 
-    __slots__ = ("rays", "index", "_lcm", "_elements")
+    __slots__ = ("rays", "solved", "_lcm", "_elements")
 
-    def __init__(self, rays):
+    def __init__(self, rays, solved=()):
         self.rays = tuple(rays)
-        self.index = {r: i for i, r in enumerate(self.rays)}
+        self.solved = solved
         self._elements = None
 
     def elements(self):
@@ -242,16 +310,19 @@ class BoxGroup:
         a_j (numerator over lcm) ranges over V . (c / diag) with
         0 <= c_i < diag[i]; only the invariant factors above 1 let c_i
         move.  Coordinates where every ray vanishes give zero rows, which
-        change neither diag nor V; they are left out.
+        change neither diag nor V; they are left out, and so are the solved
+        coordinates.
 
-        Each element is checked here to be a lattice point (lcm divides
-        Sum a_i r_i) and to be distinct from the others.  That covers the
-        box of every face: a face's point is an element plus some of the
-        rays, and folding [0, 1) into (0, 1] is injective.
+        Each element is checked here, on every coordinate row, to be a
+        lattice point (lcm divides Sum a_i r_i) and to be distinct from the
+        others.  That covers the box of every face: a face's point is an
+        element plus some of the rays, and folding [0, 1) into (0, 1] is
+        injective.
         """
         if self._elements is None:
-            M = [list(row) for row in zip(*self.rays) if any(row)]
-            diag, V = smith_normal_form(M)
+            M = _coordinate_rows(self.rays)
+            diag, V = smith_normal_form(_coordinate_rows(self.rays,
+                                                         self.solved))
             if len(diag) != len(self.rays):
                 raise ValueError("rays are not linearly independent")
             lcm = 1
@@ -276,7 +347,7 @@ class BoxGroup:
         to lcm (a_i = 1) to fold it into (0, 1].  open_rays is a subset
         of rays, by default all of them."""
         lcm, elements = self.elements()
-        at = [self.index[r] for r in rays]
+        at = [self.rays.index(r) for r in rays]
         off = ~_mask(at)
         fold = [lcm] * len(at) if open_rays is None else \
             [lcm if r in open_rays else 0 for r in rays]
@@ -369,12 +440,16 @@ class DiophantineMonoid:
     """Nonnegative integer solutions of a homogeneous system A x = 0.
 
     Faces are encoded by their supports.  The public methods take and return
-    supports as frozensets; inside, a support is an int bitmask.
+    supports as frozensets; inside, a support is an int bitmask.  Smith
+    forms of rays leave out the coordinates the system solves for
+    (_solved_columns).
     """
 
     def __init__(self, num_vars, equations):
         self.num_vars = num_vars
         self.equations = [tuple(e) for e in equations]
+        self._solved = frozenset(
+            _solved_columns(self.equations, num_vars).values())
         self._rays = None
         self._ray_masks = None
         self._within = {}
@@ -456,10 +531,11 @@ class DiophantineMonoid:
     def _face_dim(self, b):
         """Dimension of face b: the rank of its rays, the number of
         nonzero invariant factors of the matrix whose columns they are
-        (less its zero rows, as in BoxGroup.elements)."""
+        (less its zero rows and solved coordinates, as in
+        BoxGroup.elements)."""
         dim = self._fdim.get(b)
         if dim is None:
-            M = [row for row in zip(*self._face_rays(b)) if any(row)]
+            M = _coordinate_rows(self._face_rays(b), self._solved)
             dim = self._fdim[b] = len(smith_normal_form(M)[0])
         return dim
 
@@ -552,9 +628,9 @@ def decompose_region_by_face(monoid: DiophantineMonoid, A, C):
         for h in sorted(to_meet, key=lambda h: (h.bit_count(), h)):
             if all(m & h != m for m in minimal):
                 minimal.append(h)
-        opened = [r for r in simplex if bit[r] in minimal]
+        opened = tuple(r for r in simplex if bit[r] in minimal)
         rest = [h for h in minimal if h & (h - 1)]
-        group = BoxGroup(simplex)
+        group = BoxGroup(simplex, monoid._solved)
         pieces = []
         for sel in range(1 << len(rest)):
             left_out = 0

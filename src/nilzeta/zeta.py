@@ -106,7 +106,6 @@ class SigmaContext:
         self.r = len(self.R)
         self.m = d + self.dp + self.r
         self.phi = phi_sigma(d, sigma)
-        self.monoid = DiophantineMonoid(self.m, self.phi)
         self.asc = ascent_set(sigma)
         self.J = j_set(d, sigma)
         self.dyck = dyck_of_sigma(d, sigma)
@@ -135,10 +134,11 @@ class SigmaContext:
         A coordinate's q-exponent a may be negative (in the ten W_4
         shuffles ending 6,5,4,3,2,1 the first centre coordinate gets -1):
         the map is linear, so only its totals on a region's rays and box
-        points reach the generating function.  Those are checked as the map
-        is built: every extreme ray of the monoid, so every piece ray, gets
-        a positive t total (_assert_t_positive), and FactoredRationalFunction
-        rejects a factor exponent of mixed sign.
+        points reach the generating function.  Those are checked per pair,
+        on the map restricted to the pair's coordinates: every extreme ray
+        of its region, so every piece ray, gets a positive t total
+        (_assert_t_positive), and FactoredRationalFunction rejects a factor
+        exponent of mixed sign.
         """
         if self._qt_exponents is None:
             d, dp = self.d, self.dp
@@ -160,20 +160,20 @@ class SigmaContext:
                     b = j
                 out.append((a, b))
             out.extend([(0, 0)] * self.r)
-            _assert_t_positive(self.monoid, out)
             self._qt_exponents = out
         return self._qt_exponents
 
 
-def _assert_t_positive(monoid, exps):
-    """Assert that every extreme ray of the monoid has a positive t total.
+def _assert_t_positive(rays, exps):
+    """Assert that every ray has a positive t total under the map exps.
 
-    It cannot fail: every coordinate but the slack ones has b > 0, and each
-    slack column has its single -1 in a row of its own, so no ray lies on
-    slack coordinates alone.
+    On the rays of a monoid of a shuffle or of the no-overlap inequality,
+    or of a face of one, it cannot fail: every coordinate but the slack
+    ones has b > 0, and each slack column has its single -1 in a row of its
+    own, so no ray lies on slack coordinates alone.
     """
     t_col = [b for _, b in exps]
-    assert all(sum(map(mul, ray, t_col)) > 0 for ray in monoid.rays()), \
+    assert all(sum(map(mul, ray, t_col)) > 0 for ray in rays), \
         "denominator factor without t-dependence"
 
 
@@ -316,9 +316,31 @@ def enumerate_Wd(d):
 
 
 def region_of_wpair(wp: WPair):
-    """(monoid, A, C) whose lattice points project onto the pair's cone set."""
+    """(monoid, A, C, keep): the pair's region in its own coordinates.
+
+    The region is the face of sigma's monoid on the coordinates C of
+    region_sets, cut down to the points positive on A.  keep lists those
+    coordinates in order; the returned monoid is cut out by the rows of
+    phi_sigma restricted to them (C holds every slack), and A and C are
+    renumbered to match, so C is every coordinate.  Its rays are sigma's
+    rays supported in C, with the zero coordinates outside C dropped, in
+    the same sorted order; so the region decomposes into the same pieces.
+    Its lattice points, written back into sigma's coordinates at keep,
+    project onto the pair's cone set.
+    """
     A, C = wp.region_sets()
-    return wp.context.monoid, A, C
+    keep = tuple(sorted(C))
+    at = {c: j for j, c in enumerate(keep)}
+    monoid = DiophantineMonoid(
+        len(keep), [tuple(row[c] for c in keep) for row in wp.context.phi])
+    return monoid, frozenset(at[c] for c in A), frozenset(at.values()), keep
+
+
+def _pair_exponents(wp: WPair, keep):
+    """The (q, t) map of the pair's own coordinates keep (region_of_wpair):
+    its shuffle's map at those coordinates."""
+    exps = wp.context.qt_exponents()
+    return [exps[c] for c in keep]
 
 
 def _gaussian_product(wp: WPair) -> LaurentPolynomial:
@@ -390,19 +412,39 @@ class ZetaResult:
                 "provenance": self.provenance}
 
 
+# (restricted rows, renumbered A) -> (region's rays, pieces grouped by
+# top simplex): what later pairs read of a region's decomposition
+_region_memo = {}
+
+
 def _pair_regions(d, pairs):
     """Yield each pair's region for _sweep, in the order of pairs.
 
-    From d = 4 on there are too many shuffles to keep all their cone data,
+    Each region is decomposed in its own coordinates (region_of_wpair), and
+    each distinct system once per process: pairs share regions (W_4's 9,030
+    pairs have 2,970 distinct ones), so the rays and grouped pieces are
+    memoized by the system, not the monoid with its faces and
+    triangulations.  Every pair still gets its own (q, t) map, the
+    restriction of its shuffle's to its coordinates, checked to give every
+    ray of its region a positive t total, and its own Gaussian weight.
+
+    From d = 4 on there are too many shuffles to keep all their contexts,
     so a shuffle's cached context is evicted once its region is summed.
     In W_d (d >= 3) every shuffle carries exactly one I, so none is built
     twice.
     """
     for wp in pairs:
-        monoid, A, C = region_of_wpair(wp)
-        ctx = wp.context
-        yield (ctx.dyck, list(zip(*ctx.qt_exponents())),
-               _gaussian_product(wp), decompose_region_by_face(monoid, A, C))
+        monoid, A, C, keep = region_of_wpair(wp)
+        exps = _pair_exponents(wp, keep)
+        key = (tuple(monoid.equations), A)
+        region = _region_memo.get(key)
+        if region is None:
+            region = _region_memo[key] = (
+                monoid.rays(), decompose_region_by_face(monoid, A, C))
+        rays, groups = region
+        _assert_t_positive(rays, exps)
+        yield (wp.context.dyck, list(zip(*exps)), _gaussian_product(wp),
+               groups)
         if d >= 4:
             _sigma_cache.pop((d, wp.sigma), None)
 
@@ -562,7 +604,7 @@ def zeta_no_overlap(d, route="via_H", progress=None):
     dp = _dprime(d)
     monoid = no_overlap_monoid(d)
     exps = no_overlap_exponents(d)
-    _assert_t_positive(monoid, exps)
+    _assert_t_positive(monoid.rays(), exps)
     cols = list(zip(*exps))
     word = trivial_dyck_word(d)
     patterns = [(I, J) for I in _subsets_lex(d - 1)

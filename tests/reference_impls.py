@@ -6,6 +6,9 @@ debugging view of its data, kept beside the tests that use it:
 - feasible: Fourier-Motzkin feasibility of rational inequality systems, the
   reference for the pair membership test (zeta.wd_contains decides by
   extreme rays instead);
+- extreme_rays_reference: the double description on every column of the
+  system, equations only, against cones.extreme_rays, which solves for
+  slack columns and runs on the others;
 - alpha_alt and lm_profile: the subgroup count by the merged-multiset
   product formula, against combinat.alpha_count;
 - is_admissible_shuffle and enumerate_script_S: the admissible family by
@@ -21,6 +24,8 @@ debugging view of its data, kept beside the tests that use it:
 """
 
 from itertools import permutations
+from math import gcd
+from operator import mul
 
 from nilzeta.arith import (
     FactoredRationalFunction,
@@ -69,6 +74,56 @@ def feasible(ineqs, num_vars):
                 seen.add(key)
                 system.append((c, b))
     return all(b <= 0 for _, b in system)
+
+
+# ---------------------------------------------------------------------------
+# Extreme rays of {x >= 0 : A x = 0}, every column an unknown.
+
+
+def _primitive(vec):
+    g = 0
+    for x in vec:
+        g = gcd(g, abs(x))
+    if g in (0, 1):
+        return tuple(vec)
+    return tuple(x // g for x in vec)
+
+
+def extreme_rays_reference(equations, num_vars):
+    """Primitive extreme rays of the cone {x in R^n_{>=0} : a . x = 0 for a in equations}.
+
+    Double description starting from the orthant's unit rays, with the
+    combinatorial adjacency test (valid because the cone is pointed).
+    """
+    rays = [tuple(int(i == j) for j in range(num_vars)) for i in range(num_vars)]
+    supports = [1 << i for i in range(num_vars)]
+    for a in equations:
+        vals = [sum(map(mul, a, r)) for r in rays]
+        new = [(r, s) for r, s, v in zip(rays, supports, vals) if v == 0]
+        for p, vp in enumerate(vals):
+            if vp <= 0:
+                continue
+            for n, vn in enumerate(vals):
+                if vn >= 0:
+                    continue
+                # adjacent iff no third ray has its support inside the union
+                union = supports[p] | supports[n]
+                if any(s | union == union for i, s in enumerate(supports)
+                       if i != p and i != n):
+                    continue
+                # vp > 0 > vn, so vp * rn - vn * rp is nonnegative, with
+                # the union of the two supports as its own
+                comb = tuple(vp * y + (-vn) * x
+                             for x, y in zip(rays[p], rays[n]))
+                new.append((_primitive(comb), union))
+        rays, supports = [], []
+        seen = set()
+        for r, s in new:
+            if r not in seen:
+                seen.add(r)
+                rays.append(r)
+                supports.append(s)
+    return sorted(rays)
 
 
 # ---------------------------------------------------------------------------

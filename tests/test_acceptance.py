@@ -266,8 +266,10 @@ def test_criterion_10_property_suites():
         test_pair_coordinates_bijection,
         test_no_overlap_decomposition,
     )
+    from nilzeta.cones import DiophantineMonoid
     from nilzeta.zeta import WPair
-    monoid = WPair(2, frozenset({1}), (2, 1)).context.monoid
+    ctx = WPair(2, frozenset({1}), (2, 1)).context
+    monoid = DiophantineMonoid(ctx.m, ctx.phi)
     _check_interior_reciprocity(monoid)
     _check_face_reciprocity(monoid)
     _check_variable_inversion(monoid)

@@ -2,12 +2,13 @@
 
 from fractions import Fraction
 from itertools import combinations, product
+import random
 from math import ceil, floor, gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nilzeta import cones
+from nilzeta import cones, zeta
 from nilzeta.arith import FactoredRationalFunction, LaurentPolynomial, rf_equal
 from nilzeta.cones import (
     BoxGroup,
@@ -20,9 +21,22 @@ from nilzeta.cones import (
     genfun_region,
     smith_normal_form,
 )
-from nilzeta.zeta import SigmaContext, WPair, enumerate_Wd, region_of_wpair
-from reference_impls import feasible, region_dump
-from test_output_forms import D4_PAIRS
+from nilzeta.zeta import (
+    SigmaContext,
+    WPair,
+    _pair_exponents,
+    enumerate_Wd,
+    no_overlap_monoid,
+    region_of_wpair,
+    zeta_all,
+)
+from reference_impls import (
+    enumerate_script_S,
+    extreme_rays_reference,
+    feasible,
+    region_dump,
+)
+from test_output_forms import D4_PAIRS, D4_SET
 
 
 def rank(rows):
@@ -145,6 +159,96 @@ def test_extreme_rays_vs_brute():
     ]
     for eqs, n in systems:
         assert set(extreme_rays(eqs, n)) == brute_rays(eqs, n), eqs
+
+
+def _same_rays(equations, num_vars):
+    rays = extreme_rays(equations, num_vars)
+    assert rays == extreme_rays_reference(equations, num_vars), equations
+    return rays
+
+
+def test_extreme_rays_of_the_sigma_monoids():
+    """The rays of every shuffle's monoid at d = 2 and 3, and of the
+    pinned d=4 pairs' shuffles, against the double description on every
+    column; every row solves for a column (its slack, or an x-column
+    before it)."""
+    d4 = {sigma for _, sigma in D4_PAIRS + D4_SET}
+    monoids = [SigmaContext(d, sigma) for d in (2, 3)
+               for sigma in enumerate_script_S(d)]
+    monoids += [SigmaContext(4, sigma) for sigma in sorted(d4)]
+    assert len(monoids) > 60
+    for ctx in monoids:
+        assert len(cones._solved_columns(ctx.phi, ctx.m)) == ctx.r
+        assert _same_rays(ctx.phi, ctx.m)
+
+
+def test_extreme_rays_of_the_no_overlap_monoids():
+    """The no-overlap row solves for its first column with entry 1, an
+    x-column, not for one of its slack-like -1 columns."""
+    for d in (2, 3, 4):
+        monoid = no_overlap_monoid(d)
+        assert cones._solved_columns(monoid.equations, monoid.num_vars) \
+            == {0: d - 2}
+        assert _same_rays(monoid.equations, monoid.num_vars)
+
+
+def test_extreme_rays_of_the_membership_systems(monkeypatch):
+    """Every slack system wd_contains builds at d = 3, over every shuffle
+    and subset I, with the rays it reads."""
+    systems = {}
+    original = zeta.extreme_rays
+
+    def recorded(equations, num_vars):
+        rays = original(equations, num_vars)
+        systems[(tuple(equations), num_vars)] = rays
+        return rays
+
+    monkeypatch.setattr(zeta, "extreme_rays", recorded)
+    for sigma in enumerate_script_S(3):
+        for k in range(3):
+            for I in combinations((1, 2), k):
+                zeta.wd_contains(3, frozenset(I), sigma)
+    assert len(systems) > 10
+    for (equations, n), rays in systems.items():
+        assert rays == extreme_rays_reference(list(equations), n)
+
+
+def test_extreme_rays_solve_only_unit_columns():
+    # the -2 in the third column is its only entry, but x3 = (x1 - x2) / 2
+    # need not be an integer: it stays an unknown, and the first row
+    # solves for nothing
+    eqs = [(1, -1, -2, 0), (1, -1, 0, -1)]
+    assert cones._solved_columns(eqs, 4) == {1: 3}
+    assert _same_rays(eqs, 4) == [(1, 1, 0, 0), (2, 0, 1, 2)]
+    # two columns of one row are solvable; the row solves for the first,
+    # and the second stays an unknown
+    eqs = [(1, -1, 1, -1)]
+    assert cones._solved_columns(eqs, 4) == {0: 0}
+    assert _same_rays(eqs, 4) == [
+        (0, 0, 1, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 1, 0, 0)]
+
+
+def test_extreme_rays_random_systems():
+    """Seeded random systems: most have slack columns of entry +-1, some a
+    column whose one entry is +-2 and some two slack columns in a row."""
+    rng = random.Random(2501)
+    solved = twice = 0
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-2, 2) for _ in range(n)]
+                for _ in range(rng.randint(0, 3))]
+        for k in range(len(rows)):
+            for _ in range(rng.choice((0, 1, 1, 2))):
+                entry = rng.choice((1, -1, 1, -1, 2, -2))
+                for j, row in enumerate(rows):
+                    row.append(entry if j == k else 0)
+        m = len(rows[0]) if rows else n
+        _same_rays([tuple(r) for r in rows], m)
+        unit = [j for j in range(m)
+                if [abs(r[j]) for r in rows if r[j]] == [1]]
+        solved += bool(unit)
+        twice += len(unit) > len(cones._solved_columns(rows, m))
+    assert solved > 200 and twice > 20
 
 
 def test_box_points_unimodular():
@@ -355,7 +459,7 @@ def test_cell_box_points_match_a_smith_form_per_cell():
     too."""
     seen = set()
     for wp in enumerate_Wd(3) + _d4_pinned_pairs():
-        monoid, A, C = region_of_wpair(wp)
+        monoid, A, C, _ = region_of_wpair(wp)
         for simplex, pieces in decompose_region_by_face(monoid, A, C):
             group = BoxGroup(simplex)
             faces = [SimplicialPiece(S, group) for S in _subsets(simplex)]
@@ -414,8 +518,8 @@ def test_box_points_through_images_on_every_d3_cell():
     points mapped through the same columns."""
     checked = 0
     for wp in enumerate_Wd(3) + _d4_pinned_pairs():
-        monoid, A, C = region_of_wpair(wp)
-        cols = list(zip(*wp.context.qt_exponents()))
+        monoid, A, C, keep = region_of_wpair(wp)
+        cols = list(zip(*_pair_exponents(wp, keep)))
         for simplex, pieces in decompose_region_by_face(monoid, A, C):
             group = BoxGroup(simplex)
             for p in pieces + [SimplicialPiece(S, group)
@@ -451,8 +555,10 @@ def test_box_points_through_images_random_simplices(data):
                                                     open_rays=opened))
 
 
-def _monoids_of(pairs):
-    return {id(m): m for m in (region_of_wpair(wp)[0] for wp in pairs)}
+def _sigma_monoids(pairs):
+    """The full monoid of each shuffle of the pairs, once per shuffle."""
+    return [DiophantineMonoid(wp.context.m, wp.context.phi)
+            for wp in {wp.sigma: wp for wp in pairs}.values()]
 
 
 def test_facets_by_supports_are_the_faces_one_dimension_down():
@@ -460,7 +566,7 @@ def test_facets_by_supports_are_the_faces_one_dimension_down():
     monoids: the facets found by supports are the faces of one dimension
     less, which a rank computation finds."""
     faces = 0
-    for monoid in _monoids_of(enumerate_Wd(3) + _d4_pinned_pairs()).values():
+    for monoid in _sigma_monoids(enumerate_Wd(3) + _d4_pinned_pairs()):
         lattice = monoid._faces_within((1 << monoid.num_vars) - 1)
         for b in lattice:
             dim = monoid._face_dim(b)
@@ -474,8 +580,9 @@ def test_facets_by_supports_are_the_faces_one_dimension_down():
 def test_one_rank_computation_per_region(monkeypatch):
     """Cutting a region into cells on a fresh monoid takes at most one
     Smith form, the rank of its top face's rays: each d=3 pair and each
-    pinned d=4 pair.  The top simplices' BoxGroups take theirs only when
-    box points are asked for, which the cut does not do."""
+    pinned d=4 pair, on sigma's full monoid and in the region's own
+    coordinates.  The top simplices' BoxGroups take theirs only when box
+    points are asked for, which the cut does not do."""
     calls = []
     original = cones.smith_normal_form
 
@@ -485,21 +592,26 @@ def test_one_rank_computation_per_region(monkeypatch):
 
     monkeypatch.setattr(cones, "smith_normal_form", counted)
     for wp in enumerate_Wd(3) + _d4_pinned_pairs():
-        A, C = wp.region_sets()
-        calls.clear()
-        decompose_region_by_face(SigmaContext(wp.d, wp.sigma).monoid, A, C)
-        assert len(calls) <= 1, wp
+        ctx = SigmaContext(wp.d, wp.sigma)
+        for monoid, A, C in ((DiophantineMonoid(ctx.m, ctx.phi),
+                              *wp.region_sets()),
+                             region_of_wpair(wp)[:3]):
+            calls.clear()
+            decompose_region_by_face(monoid, A, C)
+            assert len(calls) <= 1, wp
 
 
 def test_one_smith_form_per_top_simplex(monkeypatch):
-    """Over the d=3 pairs and the pinned d=4 pairs, each on a fresh
-    monoid, the pieces come grouped by the top face's simplices, every
-    simplex has a group, and all the pieces of a simplex share its one
-    Smith form, though some simplices have several.
+    """Over the d=3 pairs and the pinned d=4 pairs, each region decomposed
+    once in its own coordinates, the pieces come grouped by the top face's
+    simplices, every simplex has a group, and all the pieces of a simplex
+    share its one Smith form, though some simplices have several.
 
-    The count is of every Smith form taken: one per top simplex, for its
-    BoxGroup, and one per region that has a top face holding A, for that
-    face's rank."""
+    The count is of every Smith form taken per decomposition made: one per
+    top simplex, for its BoxGroup, and one per region that has a top face
+    holding A, for that face's rank.  The sweeps over the same pairs, from
+    an empty region memo, take exactly those: a pair whose system was
+    decomposed before takes none."""
     calls = []
     original = cones.smith_normal_form
 
@@ -508,10 +620,16 @@ def test_one_smith_form_per_top_simplex(monkeypatch):
         return original(M)
 
     monkeypatch.setattr(cones, "smith_normal_form", counted)
+    monkeypatch.setattr(zeta, "_region_memo", {})
     tops = pieces = ranks = 0
-    for wp in enumerate_Wd(3) + _d4_pinned_pairs():
-        monoid = SigmaContext(wp.d, wp.sigma).monoid
-        A, C = wp.region_sets()
+    pairs = enumerate_Wd(3) + _d4_pinned_pairs()
+    made = set()
+    for wp in pairs:
+        monoid, A, C, _ = region_of_wpair(wp)
+        key = (tuple(monoid.equations), A)
+        if key in made:
+            continue
+        made.add(key)
         groups = decompose_region_by_face(monoid, A, C)
         for _, simplex_pieces in groups:
             for p in simplex_pieces:
@@ -526,6 +644,10 @@ def test_one_smith_form_per_top_simplex(monkeypatch):
         ranks += A <= top
     assert len(calls) == tops + ranks
     assert tops < pieces
+    calls.clear()
+    zeta_all(3, ("padic", "reduced", "topological"))
+    zeta_all(4, ("padic",), pairs=_d4_pinned_pairs())
+    assert len(calls) == tops + ranks
 
 
 def test_a_region_triangulates_only_its_top_face():
@@ -534,14 +656,17 @@ def test_a_region_triangulates_only_its_top_face():
     and each pinned d=4 pair, on fresh monoids."""
     regions = 0
     for wp in enumerate_Wd(3) + _d4_pinned_pairs():
-        A, C = wp.region_sets()
-        monoid = SigmaContext(wp.d, wp.sigma).monoid
-        decompose_region_by_face(monoid, A, C)
-        alone = SigmaContext(wp.d, wp.sigma).monoid
-        alone.triangulation(frozenset().union(
-            *(alone.support(r) for r in alone.rays()
-              if alone.support(r) <= C)))
-        assert set(monoid._tri) <= set(alone._tri), wp
+        ctx = SigmaContext(wp.d, wp.sigma)
+        for fresh in (lambda: (DiophantineMonoid(ctx.m, ctx.phi),
+                               *wp.region_sets()),
+                      lambda: region_of_wpair(wp)[:3]):
+            monoid, A, C = fresh()
+            decompose_region_by_face(monoid, A, C)
+            alone = fresh()[0]
+            alone.triangulation(frozenset().union(
+                *(alone.support(r) for r in alone.rays()
+                  if alone.support(r) <= C)))
+            assert set(monoid._tri) <= set(alone._tri), wp
         regions += 1
     assert regions == 49
 
@@ -691,7 +816,7 @@ def test_signed_pieces_of_the_pinned_d4_regions():
     """The open-cell rule, against the pulling triangulation of each
     pinned d=4 pair's top face."""
     for wp in _d4_pinned_pairs():
-        monoid, A, C = region_of_wpair(wp)
+        monoid, A, C, _ = region_of_wpair(wp)
         top = frozenset().union(*(monoid.support(r) for r in monoid.rays()
                                   if monoid.support(r) <= C))
         groups = decompose_region_by_face(monoid, A, C)
@@ -722,9 +847,12 @@ def test_face_lattice_order_on_a_wide_monoid():
 
 
 def test_restricted_faces_d3_regions():
+    """Each d=3 region on sigma's full monoid, and in its own coordinates."""
     regions = {}
     for wp in enumerate_Wd(3):
-        monoid, A, C = region_of_wpair(wp)
-        regions.setdefault(monoid, []).append((A, C))
-    for monoid, pairs in regions.items():
-        check_faces_and_regions(monoid, pairs)
+        regions.setdefault(wp.sigma, []).append(wp.region_sets())
+        monoid, A, C, _ = region_of_wpair(wp)
+        check_faces_and_regions(monoid, [(A, C)])
+    for sigma, pairs in regions.items():
+        ctx = SigmaContext(3, sigma)
+        check_faces_and_regions(DiophantineMonoid(ctx.m, ctx.phi), pairs)

@@ -19,6 +19,7 @@ from nilzeta.arith import (
     rf_sum_common,
 )
 from nilzeta.cones import (
+    DiophantineMonoid,
     decompose_region_by_face,
     genfun_faces,
     genfun_piece,
@@ -29,6 +30,7 @@ from nilzeta.zeta import (
     T,
     WPair,
     _gaussian_product,
+    _pair_exponents,
     _region_term,
     enumerate_Wd,
     region_of_wpair,
@@ -183,9 +185,9 @@ def test_region_terms_arrive_in_lowest_terms():
     to cancel."""
     lone = 0
     for wp in enumerate_Wd(3) + _d4_pairs():
-        monoid, A, C = region_of_wpair(wp)
+        monoid, A, C, keep = region_of_wpair(wp)
         groups = decompose_region_by_face(monoid, A, C)
-        cols = list(zip(*wp.context.qt_exponents()))
+        cols = list(zip(*_pair_exponents(wp, keep)))
         u_poly = _gaussian_product(wp)
         for vars in (QT, T):
             for simplex, pieces in groups:
@@ -211,9 +213,9 @@ def test_flat_region_sum_keeps_the_per_face_form():
     lowest-terms forms over binomials), so the two are compared form for
     form: numerator terms and denominator multiset."""
     for wp in enumerate_Wd(3) + _d4_pairs():
-        monoid, A, C = region_of_wpair(wp)
+        monoid, A, C, keep = region_of_wpair(wp)
         groups = decompose_region_by_face(monoid, A, C)
-        cols = list(zip(*wp.context.qt_exponents()))
+        cols = list(zip(*_pair_exponents(wp, keep)))
         for vars in (QT, T):
             c = cols[-len(vars):]
             nested = rf_sum_common(
@@ -227,14 +229,23 @@ def test_flat_region_sum_keeps_the_per_face_form():
 
 def test_region_sums_push_through_the_map():
     """The region's signed sum under the (q, t) map is the identity-map region
-    generating function with the map substituted afterwards."""
+    generating function with the map substituted afterwards.  The region
+    is in the pair's own coordinates, so the map is its shuffle's at the
+    kept coordinates; on sigma's full monoid, the region's generating
+    function is the same one with the kept coordinates' variables."""
     for wp in enumerate_Wd(3) + _d4_pairs():
-        monoid, A, C = region_of_wpair(wp)
-        exps = wp.context.qt_exponents()
+        monoid, A, C, keep = region_of_wpair(wp)
+        exps = _pair_exponents(wp, keep)
         mapped = genfun_faces(decompose_region_by_face(monoid, A, C),
                               list(zip(*exps)), QT)
-        assert rf_equal(mapped, rf_substitute(genfun_region(monoid, A, C),
-                                              exps, QT)), wp
+        own = genfun_region(monoid, A, C)
+        assert rf_equal(mapped, rf_substitute(own, exps, QT)), wp
+        if wp.d == 3:
+            ctx = wp.context
+            full = genfun_region(DiophantineMonoid(ctx.m, ctx.phi),
+                                 *wp.region_sets())
+            at_keep = [[int(i == c) for i in range(ctx.m)] for c in keep]
+            assert rf_equal(full, rf_substitute(own, at_keep, full.vars)), wp
 
 
 if __name__ == "__main__":

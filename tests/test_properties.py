@@ -43,7 +43,7 @@ def _corpus_monoids():
             if wp.sigma in seen:
                 continue
             seen.add(wp.sigma)
-            out.append(wp.context.monoid)
+            out.append(DiophantineMonoid(wp.context.m, wp.context.phi))
     return out
 
 

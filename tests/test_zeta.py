@@ -23,7 +23,7 @@ from nilzeta.combinat import (
     partitions_upto,
     trivial_dyck_word,
 )
-from nilzeta.cones import decompose_region_by_face
+from nilzeta.cones import DiophantineMonoid, decompose_region_by_face
 from nilzeta.golden import (
     C_CONSTANTS,
     golden_padic,
@@ -35,11 +35,14 @@ from nilzeta.golden import (
 from nilzeta.zeta import (
     QT,
     SWEEP_KINDS,
+    T,
     WPair,
     check_functional_equation,
     c_constant,
     enumerate_Wd,
     _gaussian_product,
+    _pair_exponents,
+    _region_term,
     hij_region_sets,
     no_overlap_exponents,
     no_overlap_monoid,
@@ -62,6 +65,7 @@ from reference_impls import (
     feasible,
     pair_from_coordinates,
 )
+from test_output_forms import D4_PAIRS, D4_SET
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +145,7 @@ def test_nonempty_region_implies_membership():
         for sigma in enumerate_script_S(d):
             for I in _subsets(d - 1):
                 wp = WPair(d, frozenset(I), tuple(sigma))
-                monoid, A, C = region_of_wpair(wp)
+                monoid, A, C, _ = region_of_wpair(wp)
                 has_point = any(
                     A <= B <= C and B
                     for B in monoid.face_lattice())
@@ -492,11 +496,14 @@ def _bounded_g_points(wp, max_weight):
 
 def test_region_projects_onto_g():
     # dropping the slack coordinates bijects the region with the
-    # inequality-defined set; slacks are determined by the defining rows
+    # inequality-defined set; slacks are determined by the defining rows.
+    # The region lives in the pair's own coordinates: a point of sigma's
+    # coordinates is in it when it vanishes off the kept ones and its kept
+    # ones are
     for d, bound in ((2, 6), (3, 4)):
         for wp in enumerate_Wd(d):
             ctx = wp.context
-            monoid, A, C = region_of_wpair(wp)
+            monoid, A, C, keep = region_of_wpair(wp)
             for rs in _weighted_vectors(
                     d + ctx.dp,
                     list(range(1, d + 1)) + list(range(1, ctx.dp + 1)),
@@ -504,9 +511,12 @@ def test_region_projects_onto_g():
                 slacks = [sum(w * x for w, x in zip(row[:d + ctx.dp], rs))
                           for row in ctx.phi]
                 x = tuple(rs) + tuple(slacks)
+                y = tuple(x[c] for c in keep)
                 in_region = (all(v >= 0 for v in slacks)
-                             and monoid.contains(x)
-                             and A <= monoid.support(x) <= C)
+                             and not any(v for c, v in enumerate(x)
+                                         if c not in keep)
+                             and monoid.contains(y)
+                             and A <= monoid.support(y) <= C)
                 assert in_region == _g_contains(wp, rs)
 
 
@@ -567,8 +577,8 @@ def test_no_piece_with_zero_q_exponent_off_trivial_word():
         for wp in enumerate_Wd(d):
             if wp.context.dyck == word:
                 continue
-            monoid, A, C = region_of_wpair(wp)
-            exps = wp.context.qt_exponents()
+            monoid, A, C, keep = region_of_wpair(wp)
+            exps = _pair_exponents(wp, keep)
             for piece in (p for _, cells in
                           decompose_region_by_face(monoid, A, C)
                           for p in cells):
@@ -608,18 +618,139 @@ def test_shuffles_ending_in_the_descending_run_at_d4():
         assert rf_series_coeffs(value, p, N) == expected, (I, sigma)
         q_exps = [a for a, _ in wp.context.qt_exponents()]
         assert min(q_exps) < 0
-        monoid, A, C = region_of_wpair(wp)
+        monoid, A, C, keep = region_of_wpair(wp)
+        # the region's points, written back into sigma's coordinates
         for _, cells in decompose_region_by_face(monoid, A, C):
             for piece in cells:
-                for x in list(piece.rays) + list(piece.box()):
+                for y in list(piece.rays) + list(piece.box()):
+                    x = [0] * len(q_exps)
+                    for c, v in zip(keep, y):
+                        x[c] = v
                     assert sum(a * b for a, b in zip(x, q_exps)) >= 0
+
+
+def _pinned_region_pairs():
+    """Every d=3 pair and every pinned d=4 pair."""
+    d4 = dict.fromkeys(D4_PAIRS + D4_SET)
+    return enumerate_Wd(3) + [WPair(4, frozenset(I), s) for I, s in d4]
+
+
+def test_region_is_the_face_of_the_sigma_monoid_on_C():
+    """A pair's own-coordinate region is the face of its shuffle's monoid
+    on C: its rays, written back into sigma's coordinates at keep, are
+    sigma's rays supported in C, in the same order, and A is renumbered
+    along keep."""
+    for wp in _pinned_region_pairs():
+        ctx = wp.context
+        full = DiophantineMonoid(ctx.m, ctx.phi)
+        A_full, C_full = wp.region_sets()
+        monoid, A, C, keep = region_of_wpair(wp)
+        assert keep == tuple(sorted(C_full))
+        assert C == frozenset(range(len(keep)))
+        assert A == frozenset(keep.index(c) for c in A_full)
+        back = []
+        for ray in monoid.rays():
+            x = [0] * ctx.m
+            for c, v in zip(keep, ray):
+                x[c] = v
+            back.append(tuple(x))
+        assert back == [r for r in full.rays()
+                        if full.support(r) <= C_full], wp
+
+
+def test_region_term_matches_the_sigma_monoid():
+    """Each pair's term, from its own-coordinate region under its own map,
+    is the term built on its shuffle's full monoid under the full map:
+    the same numerator terms and the same denominator, in both arenas."""
+    for wp in _pinned_region_pairs():
+        ctx = wp.context
+        monoid, A, C, keep = region_of_wpair(wp)
+        own = decompose_region_by_face(monoid, A, C)
+        full = decompose_region_by_face(DiophantineMonoid(ctx.m, ctx.phi),
+                                        *wp.region_sets())
+        u_poly = _gaussian_product(wp)
+        for vars in (QT, T):
+            f = _region_term(own, list(zip(*_pair_exponents(wp, keep))),
+                             vars, u_poly)
+            g = _region_term(full, list(zip(*ctx.qt_exponents())), vars,
+                             u_poly)
+            assert (f.num.terms, f.den) == (g.num.terms, g.den), (wp, vars)
+
+
+# two W_4 pairs of bench/panel_d4.json whose regions have one system
+SHARED_D4 = [
+    ((2,), (7, 11, 10, 9, 8, 12, 1, 6, 5, 4, 3, 2)),
+    ((2,), (7, 11, 10, 9, 8, 12, 2, 1, 6, 5, 4, 3)),
+]
+
+
+def _made_decompositions(monkeypatch):
+    made = []
+    original = zeta.decompose_region_by_face
+
+    def counted(monoid, A, C):
+        made.append((monoid, A, C))
+        return original(monoid, A, C)
+
+    monkeypatch.setattr(zeta, "decompose_region_by_face", counted)
+    return made
+
+
+def test_pairs_sharing_a_system_share_one_decomposition(monkeypatch):
+    """Two W_4 pairs whose regions have the same restricted rows and A:
+    the second reuses the first's decomposition, and each gives the same
+    results, form for form, with the memo cleared and with it warm."""
+    pairs = [WPair(4, frozenset(I), s) for I, s in SHARED_D4]
+    systems = {(tuple(m.equations), A)
+               for m, A, _, _ in map(region_of_wpair, pairs)}
+    assert len(systems) == 1
+    made = _made_decompositions(monkeypatch)
+    kinds = ("padic", "reduced", "topological", "c_d")
+
+    def forms(res):
+        return {k: v if k == "c_d" else v.value.to_json_obj()
+                for k, v in res.items()}
+
+    cold = []
+    for wp in pairs:
+        monkeypatch.setattr(zeta, "_region_memo", {})
+        cold.append(forms(zeta_all(4, kinds, pairs=[wp])))
+    assert len(made) == 2
+    made.clear()
+    monkeypatch.setattr(zeta, "_region_memo", {})
+    warm = [forms(zeta_all(4, kinds, pairs=[wp])) for wp in pairs]
+    assert len(made) == 1
+    assert warm == cold
+    # the maps and weights are the pairs' own
+    assert cold[0]["padic"] != cold[1]["padic"]
+
+
+def test_a_forged_map_fails_on_a_memo_hit(monkeypatch):
+    """The t-positivity check runs for every pair, also one whose region
+    is read off the memo: a map with t total 0 on a region ray fails."""
+    wp = WPair(4, frozenset(SHARED_D4[0][0]), SHARED_D4[0][1])
+    monkeypatch.setattr(zeta, "_region_memo", {})
+    zeta_padic(4, pairs=[wp])
+    monoid, _, _, keep = region_of_wpair(wp)
+    flat = {keep[j] for j, x in enumerate(monoid.rays()[0]) if x}
+    original = zeta.SigmaContext.qt_exponents
+
+    def forged(self):
+        return [(a, 0 if c in flat else b)
+                for c, (a, b) in enumerate(original(self))]
+
+    monkeypatch.setattr(zeta.SigmaContext, "qt_exponents", forged)
+    made = _made_decompositions(monkeypatch)
+    with pytest.raises(AssertionError, match="without t-dependence"):
+        zeta_padic(4, pairs=[wp])
+    assert made == []
 
 
 def test_no_ray_supported_only_on_slack():
     for d in (2, 3):
         for wp in enumerate_Wd(d):
             ctx = wp.context
-            for ray in ctx.monoid.rays():
+            for ray in DiophantineMonoid(ctx.m, ctx.phi).rays():
                 assert any(ray[: d + ctx.dp])
 
 
