@@ -83,6 +83,17 @@ def _bits(mask):
     return tuple(out)
 
 
+# Rays and parallelepiped group elements recur across the regions that a
+# process keeps: the 2,970 distinct regions of W_4 hold 28,399 rays, 3,038
+# of them distinct, and 32,746 group elements, 318 of them distinct.  Each
+# is kept as one shared copy.
+_shared = {}
+
+
+def _share(value):
+    return _shared.setdefault(value, value)
+
+
 def _support_mask(vec):
     """Bitmask of the nonzero coordinates of a vector."""
     return _mask(i for i, x in enumerate(vec) if x)
@@ -260,7 +271,7 @@ def extreme_rays(equations, num_vars):
             x[j] = v
         for k, j in solved.items():
             x[j] = sum(map(mul, constraints[k][0], y))
-        out.append(tuple(x))
+        out.append(_share(tuple(x)))
     return sorted(out)
 
 
@@ -335,7 +346,7 @@ class BoxGroup:
             for c in product(*(range(diag[i]) for i in free)):
                 a = tuple(sum(map(mul, row, c)) % lcm for row in scaled_V)
                 assert all(sum(map(mul, row, a)) % lcm == 0 for row in M)
-                elements.append((_support_mask(a), a))
+                elements.append(_share((_support_mask(a), a)))
             assert len({a for _, a in elements}) == len(elements)
             self._lcm, self._elements = lcm, elements
         return self._lcm, self._elements
