@@ -1,8 +1,8 @@
 """Tests for cones: extreme rays, faces, triangulations, box points."""
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
-import random
 from math import ceil, floor, gcd, prod
 
 import pytest

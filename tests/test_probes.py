@@ -66,4 +66,5 @@ def test_box_points_probe_sees_every_cell(monkeypatch):
             systems.add(key)
             made += count
     assert tracer.counts["cones.pieces"] == made > 0
+    assert made < pieces
     assert tracer.counts["cones.box_points"] == points > pieces
