@@ -8,6 +8,12 @@ denominators are never expanded, and all coefficients are exact rationals.
 Variable arenas are tuples of variable names, e.g. ("q", "t") or
 ("X1", "X2", "Y1", "Z1").  An exponent vector is a plain tuple of ints of
 the arena's length.
+
+Two carriers keep that shape: FactoredRationalFunction over binomials, and
+LinearFactoredFunction over linear factors b*s - a, for the topological
+zeta function.  Their sum, cancel loop, product by factors and equality are
+written once (_sum_common, _cancel, _times, _equal), over each carrier's
+add, multiply and exact divide by one factor.
 """
 
 from __future__ import annotations
@@ -207,25 +213,31 @@ def poly_exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynom
     return LaurentPolynomial(a.vars, quot).shift(shift)
 
 
-def poly_mul_binomial(a: LaurentPolynomial, e, m=1) -> LaurentPolynomial:
-    """a * (1 - Z^e)^m, as m shifted subtractions a - Z^e a."""
-    e = tuple(e)
-    if not any(e):
-        raise ValueError("(1 - 1) is not a valid factor")
-    if m <= 0:
-        return a
-    terms = a.terms
-    for _ in range(m):
-        out = dict(terms)
-        for x, c in terms.items():
-            key = tuple(map(add, x, e))
-            s = out.get(key, 0) - c
+def _add_terms(acc, terms, e=None):
+    """acc += terms, or acc += terms * (1 - Z^e) given e, in place.
+
+    Neither acc nor terms holds a zero coefficient, and acc holds none
+    after: a key whose sum vanishes was in acc.
+    """
+    for x, c in terms.items():
+        s = acc.get(x, 0) + c
+        if s:
+            acc[x] = s
+        else:
+            del acc[x]
+        if e is not None:
+            x = tuple(map(add, x, e))
+            s = acc.get(x, 0) - c
             if s:
-                out[key] = s
+                acc[x] = s
             else:
-                del out[key]
-        terms = out
-    return LaurentPolynomial(a.vars, terms)
+                del acc[x]
+    return acc
+
+
+def _mul_binomial(a: LaurentPolynomial, e) -> LaurentPolynomial:
+    """a * (1 - Z^e)."""
+    return LaurentPolynomial(a.vars, _add_terms({}, a.terms, e))
 
 
 def poly_div_binomial(a: LaurentPolynomial, e):
@@ -284,6 +296,122 @@ def poly_div_binomial(a: LaurentPolynomial, e):
     return LaurentPolynomial(a.vars, quot)
 
 
+# ---------------------------------------------------------------------------
+# The algorithms both carriers share, over the carrier's numerator operations.
+
+
+def _cancel(div, num, den):
+    """(num, den) with the factors of den that divide num cancelled, where
+    div(num, f) is num / f, or None if f does not divide num.
+
+    One pass over the factors leaves none that divides the numerator: a
+    factor that divides a quotient num / f divides num as well, so a
+    factor that failed to divide early in the pass cannot divide later.
+    The sorted order fixes the form: 1 - Z^2 over (1 - Z)(1 - Z^2)
+    cancels either factor, but not both.
+    """
+    left = {}
+    for f, m in sorted(den.items()):
+        while m > 0:
+            q = div(num, f)
+            if q is None:
+                break
+            num = q
+            m -= 1
+        if m:
+            left[f] = m
+    return num, left
+
+
+def _times(mul, num, den):
+    """num times the product of the factors f^m of den; mul(num, f) is
+    num * f."""
+    for f, m in den.items():
+        for _ in range(m):
+            num = mul(num, f)
+    return num
+
+
+def _uncancelled(a, b):
+    """The factor multisets a and b with the factors they share cancelled."""
+    a, b = Counter(a), Counter(b)
+    return a - b, b - a
+
+
+def _equal(mul, fnum, fden, gnum, gden):
+    """Whether fnum / fden == gnum / gden, by cross-multiplying with the
+    factors the two denominators do not share."""
+    fden, gden = _uncancelled(fden, gden)
+    return _times(mul, fnum, gden) == _times(mul, gnum, fden)
+
+
+def _lift(new, add, groups):
+    """Sum of num * prod over missing of f, over the groups {missing: num}.
+
+    missing is a frozenset of factor copies (f, j); num is a nonzero
+    numerator, read and never written.  The sum is taken Horner-style: the
+    copy missing from the most groups (ties broken by the copy itself, so
+    the order of work is fixed) is taken out of those groups, they are
+    summed without it, and that sum is multiplied by f once; the remaining
+    groups go round the loop.  Missing sets stay distinct when a copy
+    leaves them all, so no groups merge here, and the recursion is at most
+    as deep as the largest missing set.
+    """
+    acc = new(groups.get(frozenset(), ()))
+    groups = {missing: num for missing, num in groups.items() if missing}
+    while groups:
+        counts = Counter(chain.from_iterable(groups))
+        pick = max(counts, key=lambda f: (counts[f], f))
+        inner, rest = {}, {}
+        for missing, num in groups.items():
+            if pick in missing:
+                inner[missing - {pick}] = num
+            else:
+                rest[missing] = num
+        groups = rest
+        inner_sum = inner[frozenset()] if len(inner) == 1 \
+            and frozenset() in inner else _lift(new, add, inner)
+        acc = add(acc, inner_sum, pick[0])
+    return acc
+
+
+def _sum_common(new, add, terms):
+    """(num, lcm): the sum of the (num, den) pairs terms as num / lcm, over
+    their factor-wise least common denominator lcm, not yet normalized.
+    new(num) copies a numerator, and new(()) is zero; add(acc, num, f=None)
+    is acc + num, times the factor f if given, and may write into acc.
+
+    Terms with identical denominators add numerator-to-numerator first.
+    Each group of terms then misses some factors of the common
+    denominator, and the lift shares their multiplication: a factor
+    missing from many groups multiplies their sum once (_lift), not each
+    group apart.  Over a given lcm the numerator is the same whatever the
+    order of the lift.
+    """
+    groups = {}  # each denominator -> the numerators over it
+    lcm = {}
+    for num, den in terms:
+        groups.setdefault(frozenset(den.items()), []).append(num)
+        for f, m in den.items():
+            if lcm.get(f, 0) < m:
+                lcm[f] = m
+    # the common denominator as copies (f, j), j < lcm[f]; a group holds
+    # those numbered below its own multiplicity of f
+    copies = frozenset((f, j) for f, m in lcm.items() for j in range(m))
+    missing = {}
+    for sig, nums in groups.items():
+        num = nums[0]
+        if len(nums) > 1:
+            # the first numerator is copied only when others join it
+            num = new(num)
+            for other in nums[1:]:
+                num = add(num, other)
+        if num:
+            missing[copies.difference((f, j) for f, m in sig
+                                      for j in range(m))] = num
+    return _lift(new, add, missing), lcm
+
+
 class FactoredRationalFunction:
     """numerator / product over factors (1 - Z^e)^mult.
 
@@ -337,7 +465,7 @@ class FactoredRationalFunction:
         return f"({self.num!r}) / ({den or '1'})"
 
     def den_poly(self):
-        return _times_factors(LaurentPolynomial.one(self.vars), self.den)
+        return _times(_mul_binomial, LaurentPolynomial.one(self.vars), self.den)
 
     def to_json_obj(self):
         num = []
@@ -362,79 +490,8 @@ class FactoredRationalFunction:
 
 
 def rf_normalize(f: FactoredRationalFunction) -> FactoredRationalFunction:
-    """Cancel denominator factors that exactly divide the numerator.
-
-    One pass over the factors leaves none that divides the numerator: a
-    factor that divides a quotient num / (1 - Z^g) divides num as well, so
-    a factor that failed to divide early in the pass cannot divide later.
-    """
-    if f.num.is_zero():
-        return FactoredRationalFunction.zero(f.vars)
-    num = f.num
-    den = {}
-    for e, m in f.den_sorted():
-        while m > 0:
-            q = poly_div_binomial(num, e)
-            if q is None:
-                break
-            num = q
-            m -= 1
-        if m:
-            den[e] = m
-    return FactoredRationalFunction(num, den)
-
-
-def _add_terms(acc, terms, e=None):
-    """acc += terms, or acc += terms * (1 - Z^e) given e, in place.
-
-    Neither acc nor terms holds a zero coefficient, and acc holds none
-    after: a key whose sum vanishes was in acc.
-    """
-    for x, c in terms.items():
-        s = acc.get(x, 0) + c
-        if s:
-            acc[x] = s
-        else:
-            del acc[x]
-        if e is not None:
-            x = tuple(map(add, x, e))
-            s = acc.get(x, 0) - c
-            if s:
-                acc[x] = s
-            else:
-                del acc[x]
-    return acc
-
-
-def _lift(groups):
-    """Sum of num * prod over missing of (1 - Z^e), over the groups
-    {missing: num}, as a dict of terms.
-
-    missing is a frozenset of factor copies (e, j); num is a dict of terms
-    with no zero coefficient, read and never written.  The sum is taken
-    Horner-style: the copy missing from the most groups (ties broken by
-    the copy itself, so the order of work is fixed) is taken out of those
-    groups, they are summed without it, and that sum is multiplied by
-    (1 - Z^e) once; the remaining groups go round the loop.  Missing sets
-    stay distinct when a copy leaves them all, so no groups merge here, and
-    the recursion is at most as deep as the largest missing set.
-    """
-    acc = dict(groups.get(frozenset(), {}))
-    groups = {missing: num for missing, num in groups.items() if missing}
-    while groups:
-        counts = Counter(chain.from_iterable(groups))
-        pick = max(counts, key=lambda f: (counts[f], f))
-        inner, rest = {}, {}
-        for missing, num in groups.items():
-            if pick in missing:
-                inner[missing - {pick}] = num
-            else:
-                rest[missing] = num
-        groups = rest
-        inner_sum = inner[frozenset()] if len(inner) == 1 \
-            and frozenset() in inner else _lift(inner)
-        _add_terms(acc, inner_sum, pick[0])
-    return acc
+    """Cancel denominator factors that exactly divide the numerator."""
+    return FactoredRationalFunction(*_cancel(poly_div_binomial, f.num, f.den))
 
 
 def rf_sum_common(terms, vars=None):
@@ -442,13 +499,9 @@ def rf_sum_common(terms, vars=None):
 
     Terms arrive in lowest terms (no denominator factor divides the
     numerator), so a sum of one term is that term, returned as it is; a
-    longer sum is normalized once, and so leaves in lowest terms too.
-    Terms with identical denominators add numerator-to-numerator first.
-    Each group of terms then misses some factors of the common
-    denominator, and the lift shares their multiplication: a factor
-    missing from many groups multiplies their sum once (_lift), not each
-    group apart.  The arena is the first term's; an empty sum needs it
-    given as vars.
+    longer sum (_sum_common) is normalized once, and so leaves in lowest
+    terms too.  The arena is the first term's; an empty sum needs it given
+    as vars.
     """
     terms = list(terms)
     if len(terms) == 1:
@@ -457,50 +510,18 @@ def rf_sum_common(terms, vars=None):
         vars = terms[0].vars
     elif vars is None:
         raise ValueError("empty sum needs an explicit arena")
-    groups = {}  # each denominator -> the numerators over it
-    lcm = {}
     for t in terms:
         _check_same_arena(terms[0], t)
-        groups.setdefault(frozenset(t.den.items()), []).append(t.num.terms)
-        for e, m in t.den.items():
-            if lcm.get(e, 0) < m:
-                lcm[e] = m
-    # the common denominator as copies (e, j) of 1 - Z^e, j < lcm[e]; a
-    # group holds those numbered below its own multiplicity of e
-    copies = frozenset((e, j) for e, m in lcm.items() for j in range(m))
-    missing = {}
-    for sig, nums in groups.items():
-        num = nums[0]
-        if len(nums) > 1:
-            # the first numerator is copied only when others join it
-            num = dict(num)
-            for other in nums[1:]:
-                _add_terms(num, other)
-        if num:
-            missing[copies.difference((e, j) for e, m in sig
-                                      for j in range(m))] = num
+    num, lcm = _sum_common(dict, _add_terms,
+                           [(t.num.terms, t.den) for t in terms])
     return rf_normalize(FactoredRationalFunction(
-        LaurentPolynomial(vars, _lift(missing)), lcm))
-
-
-def _uncancelled(a, b):
-    """The factor multisets a and b with the factors they share cancelled."""
-    a, b = Counter(a), Counter(b)
-    return a - b, b - a
-
-
-def _times_factors(num, den):
-    """num times the product of the factors (1 - Z^e)^m of den."""
-    for e, m in den.items():
-        num = poly_mul_binomial(num, e, m)
-    return num
+        LaurentPolynomial(vars, num), lcm))
 
 
 def rf_equal(f: FactoredRationalFunction, g: FactoredRationalFunction) -> bool:
     """Exact equality as rational functions, by cross-multiplication."""
     _check_same_arena(f, g)
-    fden, gden = _uncancelled(f.den, g.den)
-    return _times_factors(f.num, gden) == _times_factors(g.num, fden)
+    return _equal(_mul_binomial, f.num, f.den, g.num, g.den)
 
 
 def rf_with_denominator(f: FactoredRationalFunction, den):
@@ -510,12 +531,10 @@ def rf_with_denominator(f: FactoredRationalFunction, den):
     Raises NotDivisible if f cannot be written over that denominator.
     """
     extra, den = _uncancelled(f.den, den)
-    num = _times_factors(f.num, den)
-    for e, m in extra.items():
-        for _ in range(m):
-            num = poly_div_binomial(num, e)
-            if num is None:
-                raise NotDivisible
+    num, left = _cancel(poly_div_binomial, _times(_mul_binomial, f.num, den),
+                        extra)
+    if left:
+        raise NotDivisible
     return num
 
 
@@ -609,8 +628,9 @@ def upoly_mul(p, q):
     return upoly_trim(out)
 
 
-def upoly_div_linear(p, b, a):
-    """Exact division of p by (b*s - a); raise NotDivisible otherwise."""
+def upoly_div_linear(p, f):
+    """q with p = q * (b*s - a) for f = (b, a), or None if there is none."""
+    b, a = f
     if not p:
         return []
     out = [0] * (len(p) - 1)
@@ -621,44 +641,42 @@ def upoly_div_linear(p, b, a):
         rem[i] = 0
         rem[i - 1] += c * a
     if rem[0]:
-        raise NotDivisible
+        return None
     return upoly_trim([int(c) if isinstance(c, Fraction) and c.denominator == 1
                        else c for c in out])
 
 
+def _mul_linear(p, f):
+    """p * (b*s - a) for f = (b, a)."""
+    b, a = f
+    return upoly_mul(p, [-a, b])
+
+
+def _add_linear(acc, p, f=None):
+    """acc + p, or acc + p * (b*s - a) given f = (b, a)."""
+    return upoly_add(acc, p if f is None else _mul_linear(p, f))
+
+
 class LinearFactoredFunction:
-    """numerator polynomial / product over (b*s - a)^mult, in one variable s."""
+    """numerator / product over (b*s - a)^mult with b > 0, in one variable s."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
         self.num = upoly_trim(list(num))
-        den = dict(den or {})
-        self.den = {}
-        if self.num:
-            for (b, a), m in den.items():
-                if m > 0:
-                    self.den[(b, a)] = self.den.get((b, a), 0) + m
+        den = {f: m for f, m in dict(den or {}).items() if m > 0}
+        for b, a in den:
+            if b <= 0:
+                raise ValueError(f"degenerate linear factor ({b}s - {a})")
+        self.den = den if self.num else {}
 
     def is_zero(self):
         return not self.num
 
-    def den_poly(self):
-        return _times_linear([1], self.den)
-
     def normalize(self):
-        num = self.num
-        den = {}
-        for (b, a), m in sorted(self.den.items()):
-            while m > 0:
-                try:
-                    num = upoly_div_linear(num, b, a)
-                except NotDivisible:
-                    break
-                m -= 1
-            if m:
-                den[(b, a)] = m
-        return LinearFactoredFunction(num, den)
+        """Cancel denominator factors that exactly divide the numerator."""
+        return LinearFactoredFunction(*_cancel(upoly_div_linear, self.num,
+                                               self.den))
 
     def degree(self):
         """Degree as a rational function of s."""
@@ -688,37 +706,13 @@ class LinearFactoredFunction:
         return f"({self.num}) / ({den or '1'})"
 
 
-def _times_linear(num, den):
-    """num times the product of the factors (b*s - a)^m of den."""
-    for (b, a), m in den.items():
-        for _ in range(m):
-            num = upoly_mul(num, [-a, b])
-    return num
-
-
 def lff_sum(terms):
-    """Sum over the factor-wise least common denominator, normalizing once.
-
-    Terms with identical denominators add numerator-to-numerator first.
-    """
-    groups = {}
-    lcm = {}
-    for t in terms:
-        sig = frozenset(t.den.items())
-        groups[sig] = upoly_add(groups.get(sig, []), t.num)
-        for k, m in t.den.items():
-            if lcm.get(k, 0) < m:
-                lcm[k] = m
-    total = []
-    for sig, num in groups.items():
-        den = dict(sig)
-        total = upoly_add(total, _times_linear(
-            num, {k: m - den.get(k, 0) for k, m in lcm.items()}))
-    return LinearFactoredFunction(total, lcm).normalize()
+    """Sum over the factor-wise least common denominator (_sum_common),
+    normalizing once."""
+    return LinearFactoredFunction(*_sum_common(
+        list, _add_linear, [(t.num, t.den) for t in terms])).normalize()
 
 
 def lff_equal(f: LinearFactoredFunction, g: LinearFactoredFunction) -> bool:
-    left = upoly_mul(f.num, g.den_poly())
-    right = upoly_mul(g.num, f.den_poly())
-    return upoly_trim([Fraction(a) - Fraction(b) for a, b in
-                       zip(left + [0] * len(right), right + [0] * len(left))]) == []
+    """Exact equality as rational functions, by cross-multiplication."""
+    return _equal(_mul_linear, f.num, f.den, g.num, g.den)

@@ -20,9 +20,15 @@ debugging view of its data, kept beside the tests that use it:
 - rf_substitute and SingularSubstitution: a monomial substitution applied
   after the fact, against the map the cone layer applies ray by ray;
 - region_dump: a deterministic text view of a region's pieces, for golden
-  fixtures.
+  fixtures;
+- lff_sum_per_group and lff_equal_full: the topological sum with each
+  denominator group lifted to the common denominator on its own, and
+  equality by cross-multiplying with both full denominators, against the
+  Horner lift and the cross-multiplication by unshared factors that
+  arith.lff_sum and arith.lff_equal share with the binomial carrier.
 """
 
+from fractions import Fraction
 from itertools import permutations
 from math import gcd
 from operator import mul
@@ -30,8 +36,12 @@ from operator import mul
 from nilzeta.arith import (
     FactoredRationalFunction,
     LaurentPolynomial,
+    LinearFactoredFunction,
     poly_mul,
     rf_normalize,
+    upoly_add,
+    upoly_mul,
+    upoly_trim,
 )
 from nilzeta.combinat import admissible_shuffles, gaussian_binomial
 from nilzeta.cones import DiophantineMonoid, decompose_region_by_face
@@ -297,3 +307,45 @@ def region_dump(monoid: DiophantineMonoid, A, C):
             lines.append(f"{piece.sign:+d}; {piece.dim}; {gens}; {opened}; "
                          f"{piece.count_box()}")
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# The topological carrier's sum and equality, one group and one full
+# denominator at a time.
+
+
+def _times_linear(num, den):
+    """num times the product of the factors (b*s - a)^m of den."""
+    for (b, a), m in den.items():
+        for _ in range(m):
+            num = upoly_mul(num, [-a, b])
+    return num
+
+
+def lff_sum_per_group(terms):
+    """Sum over the factor-wise least common denominator, normalizing once.
+
+    Terms with identical denominators add numerator-to-numerator first.
+    """
+    groups = {}
+    lcm = {}
+    for t in terms:
+        sig = frozenset(t.den.items())
+        groups[sig] = upoly_add(groups.get(sig, []), t.num)
+        for k, m in t.den.items():
+            if lcm.get(k, 0) < m:
+                lcm[k] = m
+    total = []
+    for sig, num in groups.items():
+        den = dict(sig)
+        total = upoly_add(total, _times_linear(
+            num, {k: m - den.get(k, 0) for k, m in lcm.items()}))
+    return LinearFactoredFunction(total, lcm).normalize()
+
+
+def lff_equal_full(f: LinearFactoredFunction, g: LinearFactoredFunction):
+    """Exact equality, by cross-multiplying with both full denominators."""
+    left = _times_linear(f.num, g.den)
+    right = _times_linear(g.num, f.den)
+    return upoly_trim([Fraction(a) - Fraction(b) for a, b in
+                       zip(left + [0] * len(right), right + [0] * len(left))]) == []

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,17 +17,23 @@ from nilzeta.arith import (
     poly_div_binomial,
     poly_exact_div,
     poly_mul,
-    poly_mul_binomial,
     rf_equal,
     rf_invert_vars,
     rf_normalize,
     rf_series_coeffs,
     rf_sum_common,
     rf_with_denominator,
+    upoly_add,
     upoly_div_linear,
     upoly_mul,
 )
-from reference_impls import SingularSubstitution, rf_substitute
+from nilzeta.golden import golden_topological
+from reference_impls import (
+    SingularSubstitution,
+    lff_equal_full,
+    lff_sum_per_group,
+    rf_substitute,
+)
 
 QT = ("q", "t")
 
@@ -234,7 +241,7 @@ def _per_group_sum(terms):
     for sig, group in groups.items():
         den = dict(sig)
         for e, m in lcm.items():
-            group = poly_mul_binomial(group, e, m - den.get(e, 0))
+            group = poly_mul(group, _binomial_power(vars, e, m - den.get(e, 0)))
         num = num + group
     return rf_normalize(FactoredRationalFunction(num, lcm))
 
@@ -290,7 +297,7 @@ def test_rf_sum_common_group_that_cancels():
     s = rf_sum_common(terms)
     assert _same_form(s, _per_group_sum(terms))
     assert rf_equal(s, FactoredRationalFunction(
-        poly_mul_binomial(g, (0, 1)) + g, {(0, 1): 1, (1, 1): 1}))
+        poly_mul(g, _binomial_poly(QT, (0, 1))) + g, {(0, 1): 1, (1, 1): 1}))
 
 
 def test_rf_sum_common_of_many_denominators():
@@ -333,9 +340,8 @@ def test_upoly_div_linear():
     # (2s - 3)(s - 1) = 2s^2 - 5s + 3
     p = upoly_mul([-3, 2], [-1, 1])
     assert p == [3, -5, 2]
-    assert upoly_div_linear(p, 2, 3) == [-1, 1]
-    with pytest.raises(NotDivisible):
-        upoly_div_linear([1, 1], 2, 3)
+    assert upoly_div_linear(p, (2, 3)) == [-1, 1]
+    assert upoly_div_linear([1, 1], (2, 3)) is None
 
 
 def test_lff_sum_and_equal():
@@ -346,7 +352,7 @@ def test_lff_sum_and_equal():
     assert lff_equal(h, LinearFactoredFunction([-3, 2], {(1, 1): 1, (1, 2): 1}))
     x = Fraction(7, 2)
     assert (sum(c * x ** i for i, c in enumerate(h.num))
-            / sum(c * x ** i for i, c in enumerate(h.den_poly()))
+            / prod((b * x - a) ** m for (b, a), m in h.den.items())
             == 1 / (x - 1) + 1 / (x - 2))
 
 
@@ -361,6 +367,79 @@ def test_lff_sum_cancellation():
     h = lff_sum([f, f, LinearFactoredFunction([4, -2], {(1, 1): 1,
                                                         (2, 3): 1})])
     assert h.num == [2] and h.den == {(2, 3): 1}
+
+
+LINEAR_FACTORS = [(1, 0), (1, 1), (2, 2), (1, 2), (2, 3), (3, 7)]
+small_upoly = st.lists(st.integers(-5, 5), max_size=4)
+
+
+@st.composite
+def linear_sum_cases(draw):
+    """sum_cases for the topological carrier, from zero terms up: factors
+    b*s - a with multiplicities up to 3 (2s - 2 and s - 1 share their
+    root), optionally a term that cancels another over its denominator,
+    wholly or in part, and a term over the common denominator itself."""
+    dens = draw(st.lists(st.dictionaries(st.sampled_from(LINEAR_FACTORS),
+                                         st.integers(1, 3), max_size=4),
+                         min_size=1, max_size=4))
+    terms = [LinearFactoredFunction(draw(small_upoly),
+                                    draw(st.sampled_from(dens)))
+             for _ in range(draw(st.integers(0, 8)))]
+    if terms and draw(st.booleans()):
+        t = draw(st.sampled_from(terms))
+        terms.append(LinearFactoredFunction(
+            upoly_add(draw(small_upoly), [-c for c in t.num]), t.den))
+    if draw(st.booleans()):
+        lcm = {}
+        for t in terms:
+            for f, m in t.den.items():
+                lcm[f] = max(lcm.get(f, 0), m)
+        terms.append(LinearFactoredFunction(draw(small_upoly), lcm))
+    return terms
+
+
+def _same_linear_form(f, g):
+    return f.num == g.num and f.den == g.den
+
+
+@given(linear_sum_cases())
+@settings(max_examples=80, deadline=None)
+def test_lff_sum_matches_per_group_lift(terms):
+    assert _same_linear_form(lff_sum(terms), lff_sum_per_group(terms))
+
+
+def test_lff_sum_matches_per_group_lift_on_d3_terms(monkeypatch):
+    """The top-dimensional pieces of the d=3 sweep (18 of them)."""
+    from nilzeta import zeta
+    captured = []
+
+    def keep(terms):
+        captured.append(list(terms))
+        return lff_sum(captured[-1])
+
+    monkeypatch.setattr(zeta, "lff_sum", keep)
+    value = zeta.zeta_all(3, ("topological",))["topological"].value
+    [terms] = captured
+    assert len(terms) > 1
+    assert _same_linear_form(value, lff_sum_per_group(terms))
+    assert lff_equal(value, golden_topological(3))
+
+
+@given(linear_sum_cases())
+@settings(max_examples=60, deadline=None)
+def test_lff_equal_matches_full_cross_multiplication(terms):
+    """Against every term, the sum itself, the sum off by one and the sum
+    with a factor put on both sides of the fraction."""
+    s = lff_sum(terms)
+    b, a = LINEAR_FACTORS[3]
+    den = dict(s.den)
+    den[(b, a)] = den.get((b, a), 0) + 1
+    forms = [s, LinearFactoredFunction(upoly_add(s.num, [1]), s.den),
+             LinearFactoredFunction(upoly_mul(s.num, [-a, b]), den), *terms]
+    for f in forms:
+        for g in forms[:3]:
+            assert lff_equal(f, g) == lff_equal_full(f, g), (f, g)
+    assert lff_equal(forms[2], s) and not lff_equal(forms[1], s)
 
 
 def test_lff_degree():
@@ -443,8 +522,9 @@ def test_div_binomial_carries_across_gaps():
 @settings(max_examples=60, deadline=None)
 def test_mul_binomial_matches_poly_mul(fe, m):
     f, e = fe
-    assert poly_mul_binomial(f, e, m) == poly_mul(
-        f, _binomial_power(f.vars, e, m))
+    # f over no denominator, written over (1 - Z^e)^m
+    assert rf_with_denominator(FactoredRationalFunction(f), {e: m}) \
+        == poly_mul(f, _binomial_power(f.vars, e, m))
 
 
 def test_with_denominator_not_divisible():

@@ -357,6 +357,15 @@ def _bump_denominator(value):
     value["den"][0][0] += 1
 
 
+def _degenerate_factor(value):
+    # s times the numerator over s times the denominator, written as the
+    # factor (0 s - 0): the degree is unchanged
+    for row in value["num"]:
+        row[2] += 1
+    value["num"].insert(0, ["0", "1", 0])
+    value["den"].append([1, 0, 0])
+
+
 def _zero(value):
     value["num"] = []
 
@@ -366,7 +375,9 @@ def _zero(value):
     (["overlap", "--word", "01"], _bump_coefficient),
     (["reduced"], _bump_coefficient),
     (["topological"], _bump_denominator),
-], ids=["padic", "overlap", "reduced", "topological"])
+    (["topological"], _degenerate_factor),
+], ids=["padic", "overlap", "reduced", "topological",
+        "topological-degenerate"])
 def test_cache_file_failing_revalidation_is_a_miss(tmp_path, capsys, kind,
                                                    tamper):
     """A tampered entry, and a zeroed one, of every kind: one cache: line,
@@ -390,6 +401,8 @@ def test_cache_file_failing_revalidation_is_a_miss(tmp_path, capsys, kind,
         assert len(reasons) == 1 and name in reasons[0], err
         if change is _zero:
             assert reasons[0].endswith(": zero function")
+        if change is _degenerate_factor:
+            assert ": unreadable (ValueError: " in reasons[0]
         assert run(capsys, *args)[1:] == (clean, "")
 
 
