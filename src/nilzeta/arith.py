@@ -345,32 +345,32 @@ def _equal(mul, fnum, fden, gnum, gden):
     return _times(mul, fnum, gden) == _times(mul, gnum, fden)
 
 
-def _lift(new, add, groups):
-    """Sum of num * prod over missing of f, over the groups {missing: num}.
+def _lift(new, add, groups, copies):
+    """Sum of num times the product of f over the copies (f, j) in copies
+    that held lacks, over the groups {held: num}; each held is a subset of
+    copies.
 
-    missing is a frozenset of factor copies (f, j); num is a nonzero
-    numerator, read and never written.  The sum is taken Horner-style: the
-    copy missing from the most groups (ties broken by the copy itself, so
-    the order of work is fixed) is taken out of those groups, they are
-    summed without it, and that sum is multiplied by f once; the remaining
-    groups go round the loop.  Missing sets stay distinct when a copy
-    leaves them all, so no groups merge here, and the recursion is at most
-    as deep as the largest missing set.
+    copies and held are frozensets of factor copies (f, j); num is a
+    nonzero numerator, read and never written.  The sum is taken
+    Horner-style: the copy missing from the most groups (ties broken by
+    the copy itself, so the order of work is fixed) leaves copies, the
+    groups that miss it are summed without it, and that sum is multiplied
+    by f once; the remaining groups go round the loop.  The recursion is
+    at most as deep as copies is large.  Keys are the copies a group
+    holds, fewer than those it misses, and groups is emptied as it is
+    summed, which keeps the memory small.
     """
-    acc = new(groups.get(frozenset(), ()))
-    groups = {missing: num for missing, num in groups.items() if missing}
+    acc = new(groups.pop(copies, ()))
     while groups:
-        counts = Counter(chain.from_iterable(groups))
-        pick = max(counts, key=lambda f: (counts[f], f))
-        inner, rest = {}, {}
-        for missing, num in groups.items():
-            if pick in missing:
-                inner[missing - {pick}] = num
-            else:
-                rest[missing] = num
-        groups = rest
-        inner_sum = inner[frozenset()] if len(inner) == 1 \
-            and frozenset() in inner else _lift(new, add, inner)
+        holding = Counter(chain.from_iterable(groups))
+        n = len(groups)
+        pick = max((c for c in copies if holding[c] < n),
+                   key=lambda c: (n - holding[c], c))
+        inner = {h: groups.pop(h)
+                 for h in [h for h in groups if pick not in h]}
+        left = copies - {pick}
+        inner_sum = inner[left] if len(inner) == 1 and left in inner \
+            else _lift(new, add, inner, left)
         acc = add(acc, inner_sum, pick[0])
     return acc
 
@@ -397,8 +397,7 @@ def _sum_common(new, add, terms):
                 lcm[f] = m
     # the common denominator as copies (f, j), j < lcm[f]; a group holds
     # those numbered below its own multiplicity of f
-    copies = frozenset((f, j) for f, m in lcm.items() for j in range(m))
-    missing = {}
+    held = {}
     for sig, nums in groups.items():
         num = nums[0]
         if len(nums) > 1:
@@ -407,9 +406,10 @@ def _sum_common(new, add, terms):
             for other in nums[1:]:
                 num = add(num, other)
         if num:
-            missing[copies.difference((f, j) for f, m in sig
-                                      for j in range(m))] = num
-    return _lift(new, add, missing), lcm
+            held[frozenset((f, j) for f, m in sig for j in range(m))] = num
+    del groups  # its keys, one per denominator, are not read again
+    copies = frozenset((f, j) for f, m in lcm.items() for j in range(m))
+    return _lift(new, add, held, copies), lcm
 
 
 class FactoredRationalFunction:
