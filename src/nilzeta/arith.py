@@ -362,10 +362,10 @@ def _lift(new, add, groups, copies):
     """
     acc = new(groups.pop(copies, ()))
     while groups:
+        # some group misses a copy, so the pick is missing from one or more
         holding = Counter(chain.from_iterable(groups))
         n = len(groups)
-        pick = max((c for c in copies if holding[c] < n),
-                   key=lambda c: (n - holding[c], c))
+        pick = max(copies, key=lambda c: (n - holding.get(c, 0), c))
         inner = {h: groups.pop(h)
                  for h in [h for h in groups if pick not in h]}
         left = copies - {pick}
