@@ -465,7 +465,8 @@ class FactoredRationalFunction:
         return f"({self.num!r}) / ({den or '1'})"
 
     def den_poly(self):
-        return _times(_mul_binomial, LaurentPolynomial.one(self.vars), self.den)
+        one = LaurentPolynomial.one(self.vars)
+        return _times(_mul_binomial, one, self.den)
 
     def to_json_obj(self):
         num = []
@@ -658,7 +659,7 @@ def _add_linear(acc, p, f=None):
 
 
 class LinearFactoredFunction:
-    """numerator / product over (b*s - a)^mult with b > 0, in one variable s."""
+    """numerator / product over (b*s - a)^mult, b > 0, in one variable s."""
 
     __slots__ = ("num", "den")
 

@@ -347,5 +347,5 @@ def lff_equal_full(f: LinearFactoredFunction, g: LinearFactoredFunction):
     """Exact equality, by cross-multiplying with both full denominators."""
     left = _times_linear(f.num, g.den)
     right = _times_linear(g.num, f.den)
-    return upoly_trim([Fraction(a) - Fraction(b) for a, b in
-                       zip(left + [0] * len(right), right + [0] * len(left))]) == []
+    pairs = zip(left + [0] * len(right), right + [0] * len(left))
+    return upoly_trim([Fraction(a) - Fraction(b) for a, b in pairs]) == []

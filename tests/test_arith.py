@@ -241,7 +241,8 @@ def _per_group_sum(terms):
     for sig, group in groups.items():
         den = dict(sig)
         for e, m in lcm.items():
-            group = poly_mul(group, _binomial_power(vars, e, m - den.get(e, 0)))
+            group = poly_mul(group,
+                             _binomial_power(vars, e, m - den.get(e, 0)))
         num = num + group
     return rf_normalize(FactoredRationalFunction(num, lcm))
 
