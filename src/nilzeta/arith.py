@@ -695,7 +695,11 @@ class LinearFactoredFunction:
 
     @classmethod
     def from_json_obj(cls, obj):
-        num = [0] * (max((row[2] for row in obj["num"]), default=-1) + 1)
+        degrees = [row[2] for row in obj["num"]]
+        if min(degrees, default=0) < 0 or len(set(degrees)) < len(degrees):
+            raise ValueError(f"numerator degrees {degrees} are not distinct "
+                             f"and nonnegative")
+        num = [0] * (max(degrees, default=-1) + 1)
         for cn, cd, i in obj["num"]:
             c = Fraction(int(cn), int(cd))
             num[i] = int(c) if c.denominator == 1 else c

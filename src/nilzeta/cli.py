@@ -1,4 +1,10 @@
-"""Command-line front end: compute, verify, and inspect zeta functions."""
+"""Command-line front end: compute, verify, and inspect zeta functions.
+
+Each verb imports only what it runs: a cached compute reads the result
+cache (cache, arith), and the engine (zeta, cones, combinat), the oracle
+and the golden forms are imported where a verb sweeps, counts or
+compares.
+"""
 
 from __future__ import annotations
 
@@ -7,18 +13,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
 from fractions import Fraction
 from math import isqrt
 
-from . import zeta as zmod
+from . import cache
 from .arith import FactoredRationalFunction, rf_equal
-from .oracle import (
-    CapacityExceeded,
-    check_series_capacity,
-    compare_routes,
-    count_subalgebras,
-)
 
 EXIT_OK = 0
 EXIT_ORACLE_CAPACITY = 3
@@ -124,8 +123,9 @@ def cmd_compute(args):
         cache_kind += f":{args.word}"
     elif args.route == "via_G":
         cache_kind += ":via_G"
-    result = zmod.load_result(cache_dir, args.d, cache_kind)
+    result = cache.load_result(cache_dir, args.d, cache_kind)
     if result is None:
+        from . import zeta as zmod
         cb = heartbeat()
         if kind == "padic":
             result = zmod.zeta_padic(args.d, progress=cb)
@@ -139,9 +139,9 @@ def cmd_compute(args):
         else:
             result = zmod.zeta_topological(args.d, progress=cb)
         try:
-            zmod.store_result(cache_dir, result)
+            cache.store_result(cache_dir, result)
         except OSError as exc:
-            path = zmod.cache_path(cache_dir, result.d, result.kind)
+            path = cache.cache_path(cache_dir, result.d, result.kind)
             print(f"cache: cannot write {path}: {exc}".splitlines()[0],
                   file=sys.stderr)
     return _emit(render(result, args.format), args.output)
@@ -153,6 +153,7 @@ def _check(name, ok, detail=""):
 
 
 def _verify_golden(d, sweep):
+    from . import zeta as zmod
     from .golden import (golden_padic, golden_reduced, golden_topological,
                          padic_denominator_multiset)
     from .arith import NotDivisible, lff_equal, rf_with_denominator
@@ -186,6 +187,7 @@ def _verify_golden(d, sweep):
 
 
 def _verify_funeq(d, sweep):
+    from . import zeta as zmod
     D = d + d * (d - 1) // 2
     ok = _check(f"functional equation, padic d={d}",
                 zmod.check_functional_equation(sweep["padic"].value, D))
@@ -199,6 +201,7 @@ def _verify_funeq(d, sweep):
 
 
 def _pole_report(d, sweep):
+    from . import zeta as zmod
     return zmod.pole_report(d, sweep["reduced"], sweep["topological"],
                             c_d=sweep["c_d"])
 
@@ -210,6 +213,7 @@ def _verify_pole(d, sweep):
 
 
 def _verify_oracle(d, sweep, p, order):
+    from .oracle import compare_routes
     rep = compare_routes(d, p, order, sweep["padic"].value)
     print(rep.text())
     return _check(f"oracle routes d={d} p={p} order={order}", rep.ok)
@@ -224,20 +228,27 @@ SUITE_KINDS = {
 }
 
 
+def _sweep(d, kinds):
+    """The one sweep over the pairs that a verify or report request reads,
+    with progress lines on stderr."""
+    from . import zeta as zmod
+    return zmod.zeta_all(d, kinds, progress=heartbeat())
+
+
 def cmd_verify(args):
     d = args.d
     ok = True
     suite = args.suite
     suites = SUITE_KINDS if suite == "all" else (suite,)
     if "oracle" in suites:
+        from .oracle import CapacityExceeded, check_series_capacity
         # the guard costs nothing next to the sweep, so it runs first
         try:
             check_series_capacity(d, args.p, args.order)
         except CapacityExceeded as exc:
             print(f"oracle capacity exceeded: {exc}", file=sys.stderr)
             return EXIT_ORACLE_CAPACITY
-    kinds = {k for s in suites for k in SUITE_KINDS[s]}
-    sweep = zmod.zeta_all(d, kinds, progress=heartbeat())
+    sweep = _sweep(d, {k for s in suites for k in SUITE_KINDS[s]})
     if suite in ("golden", "all"):
         ok &= _verify_golden(d, sweep)
     if suite in ("funeq", "all"):
@@ -250,6 +261,7 @@ def cmd_verify(args):
 
 
 def cmd_oracle(args):
+    from .oracle import CapacityExceeded, count_subalgebras
     try:
         print(count_subalgebras(args.d, args.p, args.n))
     except CapacityExceeded as exc:
@@ -259,10 +271,9 @@ def cmd_oracle(args):
 
 
 def cmd_report(args):
-    rep = _pole_report(args.d, zmod.zeta_all(
-        args.d, SUITE_KINDS["pole"], progress=heartbeat()))
+    rep = _pole_report(args.d, _sweep(args.d, SUITE_KINDS["pole"]))
     obj = {k: str(v) if isinstance(v, Fraction) else v
-           for k, v in asdict(rep).items()}
+           for k, v in vars(rep).items()}
     obj["consistent"] = rep.consistent()
     text = json.dumps(obj, sort_keys=True) if args.format == "json" else \
         "\n".join(f"{k}: {v}" for k, v in obj.items())
@@ -331,7 +342,7 @@ def _usage_problem(args):
         if not args.word:
             return "--word is required with --kind overlap"
         try:
-            zmod.dyck_word(args.d, args.word)
+            cache.dyck_word(args.d, args.word)
         except ValueError as exc:
             return f"--word: {exc}"
     elif getattr(args, "word", None):
@@ -339,6 +350,15 @@ def _usage_problem(args):
     if getattr(args, "route", None) and args.kind != "no-overlap":
         return "--route only makes sense with --kind no-overlap"
     return None
+
+
+def __getattr__(name):
+    # the oracle's counter stays reachable as cli.count_subalgebras
+    # without importing the oracle for every verb
+    if name == "count_subalgebras":
+        from .oracle import count_subalgebras
+        return count_subalgebras
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def main(argv=None):

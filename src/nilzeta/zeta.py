@@ -15,14 +15,10 @@ top-dimensional simplicial pieces and lives in a single variable s.
 
 from __future__ import annotations
 
-import json
-import os
-import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations
-from math import comb, factorial, prod
+from itertools import combinations
+from math import prod
 from operator import mul, sub
 
 from .arith import (
@@ -32,10 +28,24 @@ from .arith import (
     lff_sum,
     poly_div_binomial,
     poly_mul,
-    rf_equal,
-    rf_invert_vars,
+    rf_equal,  # noqa: F401 -- looked up as zeta.rf_equal
     rf_normalize,
     rf_sum_common,
+)
+from .cache import (  # noqa: F401 -- zeta exposes the result cache's names
+    CACHE_FORMAT_VERSION,
+    QT,
+    T,
+    ZetaResult,
+    _dprime,
+    _revalidation_failure,
+    cache_path,
+    check_functional_equation,
+    dyck_word,
+    expected_top_residue,
+    load_result,
+    store_result,
+    top_residue_at_0,
 )
 from .combinat import (
     admissible_shuffles,
@@ -54,14 +64,6 @@ from .cones import (
     extreme_rays,
     genfun_faces,
 )
-
-QT = ("q", "t")
-T = ("t",)
-
-
-def _dprime(d):
-    return d * (d - 1) // 2
-
 
 # ---------------------------------------------------------------------------
 # The linear system attached to a shuffle.
@@ -191,11 +193,29 @@ def sigma_context(d, sigma):
 # Pairs (I, sigma).
 
 
-@dataclass(frozen=True)
 class WPair:
-    d: int
-    I: frozenset
-    sigma: tuple
+    """A pair (I, sigma) of W_d: a subset I of [d-1] and a shuffle."""
+
+    __slots__ = ("d", "I", "sigma")
+
+    def __init__(self, d, I, sigma):
+        self.d = d
+        self.I = I
+        self.sigma = sigma
+
+    def _key(self):
+        return (self.d, self.I, self.sigma)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"WPair(d={self.d!r}, I={self.I!r}, sigma={self.sigma!r})"
 
     @property
     def context(self):
@@ -393,25 +413,6 @@ def _region_term(groups, cols, vars, u_poly):
     return FactoredRationalFunction(poly_mul(f.num, weight), f.den)
 
 
-# ---------------------------------------------------------------------------
-# Results.
-
-
-@dataclass
-class ZetaResult:
-    d: int
-    kind: str
-    value: object
-    provenance: dict = field(default_factory=dict)
-
-    def to_json_obj(self):
-        """The cache file's object, and --format json's: the cache
-        file's bytes follow this key order."""
-        return {"d": self.d, "kind": self.kind,
-                "value": self.value.to_json_obj(),
-                "provenance": self.provenance}
-
-
 # (restricted rows, renumbered A) -> (region's rays, pieces grouped by
 # top simplex): what later pairs read of a region's decomposition
 _region_memo = {}
@@ -550,17 +551,6 @@ def zeta_padic(d, progress=None, pairs=None):
     return zeta_all(d, ("padic",), pairs, progress)["padic"]
 
 
-def dyck_word(d, word):
-    """The overlap type that word (a string or a sequence of 0s and 1s)
-    names, as a tuple; ValueError unless it is a Dyck word of length 2d'."""
-    text, n = "".join(map(str, word)), 2 * _dprime(d)
-    heights = list(accumulate(1 if c == "0" else -1 for c in text))
-    if set(text) - {"0", "1"} or len(text) != n or min(heights) < 0 \
-            or heights[-1]:
-        raise ValueError(f"not a Dyck word of length {n}: {text}")
-    return tuple(map(int, text))
-
-
 def zeta_overlap(d, word, progress=None):
     """The zeta function restricted to one overlap type (a Dyck word)."""
     word = dyck_word(d, word)
@@ -638,19 +628,6 @@ def c_constant(d, progress=None) -> Fraction:
 # Checks and reports.
 
 
-def check_functional_equation(value: FactoredRationalFunction, D: int) -> bool:
-    """zeta(1/q, 1/t) = (-1)^D q^(D choose 2) t^D zeta(q, t).
-
-    In the t arena, the q -> 1 limit, it reads zeta(1/t) = (-1)^D t^D zeta(t).
-    """
-    lhs = rf_invert_vars(value)
-    sign = -1 if D % 2 else 1
-    shift = (comb(D, 2), D) if value.vars == QT else (D,)
-    rhs = FactoredRationalFunction(
-        value.num.shift(shift).scale(sign), value.den)
-    return rf_equal(lhs, rhs)
-
-
 def zeta_free_abelian(rank):
     """1 / ((1-t)(1-qt)...(1-q^(rank-1) t)) in the (q, t) arena."""
     return FactoredRationalFunction(
@@ -677,23 +654,38 @@ def padic_at_zero_is_one(value, D) -> bool:
     return num_q == den_q
 
 
-@dataclass
 class PoleReport:
-    d: int
-    reduced_order_at_1: int
-    reduced_residue_at_1: Fraction
-    top_degree: int
-    top_residue_at_0: Fraction
-    top_limit_at_infinity: Fraction
-    c_d: Fraction
+    """Poles and residues of the reduced and topological functions, and
+    c_d; the fields are in the order the report prints them."""
+
+    def __init__(self, d, reduced_order_at_1, reduced_residue_at_1,
+                 top_degree, top_residue_at_0, top_limit_at_infinity, c_d):
+        self.d = d
+        self.reduced_order_at_1 = reduced_order_at_1
+        self.reduced_residue_at_1 = reduced_residue_at_1
+        self.top_degree = top_degree
+        self.top_residue_at_0 = top_residue_at_0
+        self.top_limit_at_infinity = top_limit_at_infinity
+        self.c_d = c_d
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    # mutable, so unhashable
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"PoleReport({fields})"
 
     def consistent(self) -> bool:
         D = self.d + _dprime(self.d)
         return (self.reduced_order_at_1 == D
                 and self.reduced_residue_at_1 == (-1) ** D * self.c_d
                 and self.top_degree == -D
-                and self.top_residue_at_0
-                == Fraction((-1) ** (D - 1), factorial(D - 1))
+                and self.top_residue_at_0 == expected_top_residue(D)
                 and self.top_limit_at_infinity == self.c_d)
 
 
@@ -730,19 +722,7 @@ def pole_report(d, reduced: ZetaResult, topological: ZetaResult,
     residue = Fraction(num_val) * (-1) ** order / b_prod
     top = topological.value
     degree = top.degree()
-    num0 = Fraction(top.num[0]) if top.num else Fraction(0)
-    s_mult = 0
-    other = Fraction(1)
-    s_coeff = 1
-    for (b, a), m_ in top.den.items():
-        if a == 0:
-            s_mult += m_
-            s_coeff *= b ** m_
-        else:
-            other *= Fraction(-a) ** m_
-    if s_mult != 1:
-        raise ValueError(f"pole at s=0 has order {s_mult}, expected simple")
-    top_residue = num0 / (s_coeff * other)
+    top_residue = top_residue_at_0(top)
     lead = Fraction(top.num[-1])
     b_all = 1
     for (b, a), m_ in top.den.items():
@@ -750,81 +730,3 @@ def pole_report(d, reduced: ZetaResult, topological: ZetaResult,
     top_limit = lead / b_all
     return PoleReport(d, order, residue, degree, top_residue, top_limit,
                       Fraction(c_d))
-
-
-# ---------------------------------------------------------------------------
-# Result cache.
-
-CACHE_FORMAT_VERSION = 1
-
-
-def cache_path(cache_dir, d, kind):
-    safe = kind.replace(":", "_")
-    return os.path.join(cache_dir,
-                        f"v{CACHE_FORMAT_VERSION}_d{d}_{safe}.json")
-
-
-def store_result(cache_dir, result: ZetaResult):
-    """Write the result atomically: a killed or concurrent writer never
-    leaves a partial file under the cache name."""
-    os.makedirs(cache_dir, exist_ok=True)
-    path = cache_path(cache_dir, result.d, result.kind)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(result.to_json_obj(), fh)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def load_result(cache_dir, d, kind):
-    """The cached result, or None on a miss.
-
-    A file that cannot be read or decoded, or fails revalidation, is a
-    miss, reported with a one-line reason on stderr.
-    """
-    path = cache_path(cache_dir, d, kind)
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-        stored = (obj["d"], obj["kind"])
-        if kind == "topological":
-            value = LinearFactoredFunction.from_json_obj(obj["value"])
-        else:
-            value = FactoredRationalFunction.from_json_obj(obj["value"])
-        provenance = obj.get("provenance", {})
-    except (OSError, KeyError, ValueError, TypeError,
-            ZeroDivisionError) as exc:
-        # ValueError covers json.JSONDecodeError and UnicodeDecodeError,
-        # OSError an entry that cannot be opened (a directory, say)
-        reason = f"unreadable ({type(exc).__name__}: {exc})"
-    else:
-        reason = _revalidation_failure(d, kind, stored, value)
-        if reason is None:
-            return ZetaResult(d, kind, value, provenance)
-    print(f"cache: ignoring {path}: {reason}".splitlines()[0],
-          file=sys.stderr)
-    return None
-
-
-def _revalidation_failure(d, kind, stored, value):
-    """Why a decoded cache entry cannot be trusted, or None if it can."""
-    if value.is_zero():
-        # it would pass the functional equation, and has no degree
-        return "zero function"
-    if stored != (d, kind):
-        return f"holds d={stored[0]} kind {stored[1]}"
-    D = d + _dprime(d)
-    if kind == "topological":
-        if value.degree() != -D:
-            return f"degree {value.degree()}, expected {-D}"
-    elif value.vars != (T if kind == "reduced" else QT):
-        return f"variables {','.join(value.vars)}"
-    elif not check_functional_equation(value, D):
-        # so do every overlap summand and the q -> 1 limit
-        return "fails the functional equation"
-    return None

@@ -185,6 +185,17 @@ def test_json_roundtrip():
     assert k.num == h.num and k.den == h.den
 
 
+@pytest.mark.parametrize("rows", [
+    [["12", "1", 0], ["9", "1", -1]],
+    [["12", "1", 0], ["9", "1", 0]],
+], ids=["negative", "repeated"])
+def test_lff_from_json_refuses_bad_degrees(rows):
+    # either would be written over another coefficient
+    with pytest.raises(ValueError):
+        LinearFactoredFunction.from_json_obj(
+            {"vars": ["s"], "num": rows, "den": [[1, 1, 0]]})
+
+
 small_poly = st.dictionaries(
     st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
     st.integers(-5, 5).filter(bool),

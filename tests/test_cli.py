@@ -214,8 +214,12 @@ def test_verify_suites(tmp_path, capsys):
 def test_verify_reports_progress_on_stderr(capsys):
     code, out, err = run(capsys, "verify", "--d", "2", "--suite", "pole")
     assert code == 0
-    assert out.startswith("PASS  pole report d=2 self-consistent")
-    assert len(out.splitlines()) == 1
+    # the report's repr follows the check
+    assert out == (
+        "PASS  pole report d=2 self-consistent  PoleReport(d=2, "
+        "reduced_order_at_1=3, reduced_residue_at_1=Fraction(-3, 4), "
+        "top_degree=-3, top_residue_at_0=Fraction(1, 2), "
+        "top_limit_at_infinity=Fraction(3, 4), c_d=Fraction(3, 4))\n")
     [line] = err.splitlines()
     assert line.startswith("progress: ")
 
@@ -246,9 +250,14 @@ def test_verify_golden_checks_the_padic_denominator(capsys, monkeypatch):
 
 def test_report_command(capsys):
     code, out, _ = run(capsys, "report", "--d", "2", "--format", "json")
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["d"] == 2
+    assert (code, out) == (0, REPORT_D2_JSON)
+    assert list(json.loads(out)) == sorted(json.loads(out))
+
+
+REPORT_D2_JSON = (
+    '{"c_d": "3/4", "consistent": true, "d": 2, "reduced_order_at_1": 3, '
+    '"reduced_residue_at_1": "-3/4", "top_degree": -3, '
+    '"top_limit_at_infinity": "3/4", "top_residue_at_0": "1/2"}\n')
 
 
 REPORT_D3 = """\
@@ -366,6 +375,18 @@ def _degenerate_factor(value):
     value["den"].append([1, 0, 0])
 
 
+def _change_numerator(value):
+    # the d=2 numerator is the constant 12: the degree is unchanged, the
+    # residue at s=0 is not
+    assert value["num"] == [["12", "1", 0]]
+    value["num"][0][0] = "5"
+
+
+def _negative_degree_row(value):
+    # decoded naively, it would be written over the top coefficient
+    value["num"].append(["9", "1", -1])
+
+
 def _zero(value):
     value["num"] = []
 
@@ -376,8 +397,11 @@ def _zero(value):
     (["reduced"], _bump_coefficient),
     (["topological"], _bump_denominator),
     (["topological"], _degenerate_factor),
+    (["topological"], _change_numerator),
+    (["topological"], _negative_degree_row),
 ], ids=["padic", "overlap", "reduced", "topological",
-        "topological-degenerate"])
+        "topological-degenerate", "topological-numerator",
+        "topological-negative-degree"])
 def test_cache_file_failing_revalidation_is_a_miss(tmp_path, capsys, kind,
                                                    tamper):
     """A tampered entry, and a zeroed one, of every kind: one cache: line,
@@ -401,8 +425,10 @@ def test_cache_file_failing_revalidation_is_a_miss(tmp_path, capsys, kind,
         assert len(reasons) == 1 and name in reasons[0], err
         if change is _zero:
             assert reasons[0].endswith(": zero function")
-        if change is _degenerate_factor:
+        if change in (_degenerate_factor, _negative_degree_row):
             assert ": unreadable (ValueError: " in reasons[0]
+        if change is _change_numerator:
+            assert reasons[0].endswith(": residue 5/24 at s=0, expected 1/2")
         assert run(capsys, *args)[1:] == (clean, "")
 
 

@@ -92,6 +92,46 @@ def test_w2_pairs():
         [([], (2, 1)), ([1], (2, 1))]
 
 
+def test_wpair_equality_hash_and_repr():
+    """Pairs are values: equal fields make equal, equally hashed pairs
+    (what the pair memo keys and the ordering checks rely on)."""
+    sigma = (3, 1, 2, 6, 4, 5)
+    a = WPair(3, frozenset({1}), sigma)
+    b = WPair(3, frozenset({1}), tuple(sigma))
+    assert a == b and not a != b
+    assert hash(a) == hash(b) == hash((3, frozenset({1}), sigma))
+    assert len({a, b}) == 1 and {a: "x"}[b] == "x"
+    assert a != WPair(3, frozenset({2}), sigma)
+    assert a != WPair(3, frozenset({1}), (3, 1, 2, 6, 5, 4))
+    assert a != (3, frozenset({1}), sigma)
+    assert repr(a) == \
+        "WPair(d=3, I=frozenset({1}), sigma=(3, 1, 2, 6, 4, 5))"
+    assert enumerate_Wd(2) == [WPair(2, frozenset(), (2, 1)),
+                               WPair(2, frozenset({1}), (2, 1))]
+
+
+def test_results_compare_by_value():
+    """ZetaResult and PoleReport compare field by field and, being
+    mutable, are unhashable."""
+    value = zeta.zeta_free_abelian(2)
+    r = zeta.ZetaResult(2, "padic", value)
+    assert r.provenance == {}
+    assert r == zeta.ZetaResult(2, "padic", value, {})
+    assert r != zeta.ZetaResult(2, "padic", value, {"pairs": 2})
+    assert r != zeta.ZetaResult(3, "padic", value)
+    assert repr(r) == (f"ZetaResult(d=2, kind='padic', value={value!r}, "
+                       f"provenance={{}})")
+    rep = zeta.PoleReport(2, 3, Fraction(-3, 4), -3, Fraction(1, 2),
+                          Fraction(3, 4), Fraction(3, 4))
+    assert rep == zeta.PoleReport(2, 3, Fraction(-3, 4), -3, Fraction(1, 2),
+                                  Fraction(3, 4), Fraction(3, 4))
+    assert rep != zeta.PoleReport(2, 3, Fraction(-3, 4), -3, Fraction(1, 2),
+                                  Fraction(3, 4), Fraction(1, 4))
+    for obj in (r, rep):
+        with pytest.raises(TypeError):
+            hash(obj)
+
+
 def _one_subset_per_shuffle(pairs):
     """Every shuffle of the pairs comes with a single I: what lets the d=4
     sweep evict a shuffle's context right after its region."""
