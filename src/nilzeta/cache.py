@@ -183,9 +183,9 @@ def _revalidation_failure(d, kind, stored, value):
             residue = top_residue_at_0(value)
         except ValueError as exc:
             return str(exc)
-        if residue != expected_top_residue(D):
-            return f"residue {residue} at s=0, expected " \
-                f"{expected_top_residue(D)}"
+        expected = expected_top_residue(D)
+        if residue != expected:
+            return f"residue {residue} at s=0, expected {expected}"
     elif value.vars != (T if kind == "reduced" else QT):
         return f"variables {','.join(value.vars)}"
     elif not check_functional_equation(value, D):
