@@ -3,12 +3,12 @@
 A DiophantineMonoid is the set of nonnegative integer solutions of a
 homogeneous linear system A x = 0.  Its real span is a pointed rational cone
 inside the nonnegative orthant; this module computes its extreme rays
-(double description), its face lattice (unions of ray supports), pulling
-triangulations of its faces, and the generating function of any "region"
-(the solutions whose support contains a prescribed set A and is contained in
-a prescribed set C), pushed through a monomial map: summed piece by piece,
-over all of the region's pieces at once.  The identity map gives the
-multivariate generating function itself.
+(double description), pulling triangulations of its faces (each encoded by
+its support, the union of its rays' supports), and the generating function
+of any "region" (the solutions whose support contains a prescribed set A
+and is contained in a prescribed set C), pushed through a monomial map:
+summed piece by piece, over all of the region's pieces at once.  The
+identity map gives the multivariate generating function itself.
 
 Slacks are inequalities.  A column whose only nonzero entry in the whole
 system is +1 or -1 is its row's slack: on the solutions it is an integer
@@ -20,9 +20,11 @@ on the rows of the coordinates that are not slacks: projecting the slacks
 away is a lattice isomorphism on the solutions, so it keeps ranks,
 invariant factors and parallelepiped groups.
 
-A triangulation recurses over facets, which are found by their supports
-alone (the face lattice is graded); only the dimension of the face where
-it starts takes a rank, read off a Smith normal form of its rays.
+A triangulation recurses over facets.  Faces are cut out by coordinate
+hyperplanes, so the facets of a face are the largest of its faces on the
+hyperplanes x_i = 0, i in its support; no face lattice is listed.  Only
+the dimension of the face where it starts takes a rank, read off a Smith
+normal form of its rays.
 
 A region is cut into signed half-open simplicial pieces, in one pass over
 the simplices of the pulling triangulation of its top face.  The open
@@ -45,9 +47,10 @@ All arithmetic is exact, over int.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
 from math import gcd
-from operator import mul
+from operator import mul, or_
 
 from .arith import FactoredRationalFunction, LaurentPolynomial, rf_sum_common
 
@@ -463,7 +466,6 @@ class DiophantineMonoid:
             _solved_columns(self.equations, num_vars).values())
         self._rays = None
         self._ray_masks = None
-        self._within = {}
         self._tri = {}
         self._fdim = {}
 
@@ -482,14 +484,18 @@ class DiophantineMonoid:
         return frozenset(i for i, x in enumerate(ray) if x)
 
     def face_lattice(self):
-        """All faces, encoded by their support sets (unions of ray supports),
-        ordered by size and then by sorted support.
+        """All faces, encoded by their support sets, ordered by size and
+        then by sorted support: the top face (the union of every ray
+        support) and the faces below it, facet by facet (_facets).
 
-        This is the full-lattice view; region decompositions enumerate only
-        the faces inside their region (_faces_within).
+        Only tests read this view; a region decomposition visits only the
+        faces its triangulation reaches.
         """
-        return [frozenset(_bits(f))
-                for f in self._faces_within((1 << self.num_vars) - 1)]
+        faces = frontier = {self._top_face((1 << self.num_vars) - 1)}
+        while frontier:
+            frontier = {f for b in frontier for f in self._facets(b)} - faces
+            faces = faces | frontier
+        return [frozenset(_bits(f)) for f in sorted(faces, key=self._order)]
 
     def face_dim(self, B):
         return self._face_dim(_mask(B))
@@ -501,38 +507,28 @@ class DiophantineMonoid:
         first ray of the face in extreme_rays' sorted order is pulled; the
         simplices are that ray joined with the triangulations of the facets
         not containing it.  Only the face's own dimension takes a Smith
-        form (_face_dim); its facets are found by their supports (_facets).
+        form (_face_dim); its facets are cut by coordinate hyperplanes
+        (_facets).
         """
         b = _mask(B)
-        return self._triangulation(b, self._face_dim(b),
-                                   self._faces_within(b))
+        return self._triangulation(b, self._face_dim(b))
 
     # -- the same on support bitmasks ---------------------------------------
 
-    def _faces_within(self, c):
-        """Supports of the faces inside the coordinate set c, in
-        face_lattice order.
+    def _order(self, f):
+        """face_lattice order: by size, then by the sorted support.  Of two
+        supports of one size, the one holding the least element where they
+        differ sorts first: the higher of the two masks read with their
+        bits reversed."""
+        return (f.bit_count(),
+                -int(format(f, f"0{self.num_vars}b")[::-1], 2))
 
-        Every face is a union of ray supports.  Since x >= 0, the set
-        {x_i = 0 for i outside c} is itself a face, so the faces inside c are
-        exactly the unions of supports of the rays inside c.
-        """
-        faces = self._within.get(c)
-        if faces is None:
-            closure = {0}
-            for r in self.rays():
-                s = self._ray_masks[r]
-                if s & c == s:
-                    closure |= {f | s for f in closure}
-            # face_lattice order: by size, then by the sorted support.  Of
-            # two supports of one size, the one holding the least element
-            # where they differ sorts first: the higher of the two masks
-            # read with their bits reversed
-            width = f"0{self.num_vars}b"
-            faces = self._within[c] = sorted(
-                closure, key=lambda f: (f.bit_count(),
-                                        -int(format(f, width)[::-1], 2)))
-        return faces
+    def _top_face(self, c):
+        """Support of the largest face inside the coordinate set c: x >= 0
+        makes {x_i = 0 for i outside c} a face, so it is the union of the
+        supports of the rays inside c."""
+        masks = [self._ray_masks[r] for r in self._face_rays(c)]
+        return reduce(or_, masks, 0)
 
     def _face_rays(self, b):
         rays = self.rays()
@@ -550,27 +546,27 @@ class DiophantineMonoid:
             dim = self._fdim[b] = len(smith_normal_form(M)[0])
         return dim
 
-    def _facets(self, b, faces):
+    def _facets(self, b):
         """Supports of the facets of face b, in face_lattice order.
 
-        faces holds every face inside b, in face_lattice order (the faces
-        inside a region's top face, say); those inside b are read off it.
-        The face lattice of a pointed cone is graded, so the facets of b
-        are its maximal proper faces: the faces f != b inside b that every
-        ray of b either lies in or joins to b (the smallest face holding f
-        and a ray has the union of their supports as its support).
+        The monoid is {x >= 0 : A x = 0}, so every face is cut out by
+        coordinate hyperplanes.  For i in b, the face of b on x_i = 0 is
+        F_i, the union of the supports of b's rays that miss i; it is never
+        b, since some ray of b holds i.  Every proper face of b lies in
+        some F_i, so the facets of b (its maximal proper faces) are the
+        maximal F_i.
         """
-        masks = self._ray_masks
-        supports = [masks[r] for r in self._face_rays(b)]
-        return [f for f in faces
-                if f & b == f and f != b
-                and all(s & f == s or s | f == b for s in supports)]
+        supports = [self._ray_masks[r] for r in self._face_rays(b)]
+        cut = {reduce(or_, [s for s in supports if not s >> i & 1], 0)
+               for i in _bits(b)}
+        return sorted((f for f in cut
+                       if not any(f != g and f & g == f for g in cut)),
+                      key=self._order)
 
-    def _triangulation(self, b, dim, faces):
+    def _triangulation(self, b, dim):
         """The pulling triangulation of face b (see triangulation), given
-        b's dimension dim and a list of faces holding those inside b (see
-        _facets); each facet is triangulated with dim - 1, so no face
-        below b takes a Smith form."""
+        b's dimension dim; each facet is triangulated with dim - 1, so no
+        face below b takes a Smith form."""
         out = self._tri.get(b)
         if out is not None:
             return out
@@ -581,8 +577,8 @@ class DiophantineMonoid:
             v = rays[0]
             sv = self._ray_masks[v]
             out = [(v,) + simplex
-                   for f in self._facets(b, faces) if f & sv != sv
-                   for simplex in self._triangulation(f, dim - 1, faces)]
+                   for f in self._facets(b) if f & sv != sv
+                   for simplex in self._triangulation(f, dim - 1)]
         self._tri[b] = out
         return out
 
@@ -595,10 +591,11 @@ def decompose_region_by_face(monoid: DiophantineMonoid, A, C):
     x_i = 0 outside C.  Such x lie in the relative interior of the face
     supp(x), so the region is the disjoint union of the relints of the faces
     B with A <= B <= C.  The faces inside C are the faces of the region's
-    top face (the union of them all), and the pulling triangulation of that
-    face restricts to each of them.  So the region is the disjoint union of
-    open cells: for each top simplex in turn, the subsets S of its rays
-    whose supports cover A and that lie in no earlier simplex.
+    top face, whose support is the union of the supports of the rays
+    inside C, and the pulling triangulation of that face restricts to each
+    of them.  So the region is the disjoint union of open cells: for each
+    top simplex in turn, the subsets S of its rays whose supports cover A
+    and that lie in no earlier simplex.
 
     Both conditions ask S to meet sets of the simplex's rays: for each
     i in A, the rays whose support holds i; for each earlier simplex, the
@@ -616,8 +613,7 @@ def decompose_region_by_face(monoid: DiophantineMonoid, A, C):
     waits for the first box points asked of it.
     """
     a = _mask(A)
-    faces = monoid._faces_within(_mask(C))
-    top = faces[-1]
+    top = monoid._top_face(_mask(C))
     if top & a != a:
         return []
     masks = monoid._ray_masks
@@ -627,7 +623,7 @@ def decompose_region_by_face(monoid: DiophantineMonoid, A, C):
                for i in _bits(a)]
     out, earlier = [], []
     # a top face with no rays is the origin alone: one empty simplex
-    simplices = monoid._triangulation(top, monoid._face_dim(top), faces)
+    simplices = monoid._triangulation(top, monoid._face_dim(top))
     for simplex in simplices or [()]:
         s = sum(bit[r] for r in simplex)
         to_meet = {h & s for h in holders}

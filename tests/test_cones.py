@@ -1,5 +1,6 @@
 """Tests for cones: extreme rays, faces, triangulations, box points."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -28,6 +29,7 @@ from nilzeta.zeta import (
     enumerate_Wd,
     no_overlap_monoid,
     region_of_wpair,
+    wd_contains,
     zeta_all,
 )
 from reference_impls import (
@@ -563,18 +565,65 @@ def _sigma_monoids(pairs):
 
 def test_facets_by_supports_are_the_faces_one_dimension_down():
     """Every face of every d=3 monoid and of the pinned d=4 pairs'
-    monoids: the facets found by supports are the faces of one dimension
-    less, which a rank computation finds."""
+    monoids: the facets cut by coordinate hyperplanes are the faces of the
+    reference lattice inside the face, of one dimension less, which a rank
+    computation finds."""
     faces = 0
     for monoid in _sigma_monoids(enumerate_Wd(3) + _d4_pinned_pairs()):
-        lattice = monoid._faces_within((1 << monoid.num_vars) - 1)
+        lattice = [cones._mask(B) for B in reference_lattice(monoid)]
         for b in lattice:
             dim = monoid._face_dim(b)
-            assert monoid._facets(b, lattice) == [
-                f for f in monoid._faces_within(b)
-                if f != b and monoid._face_dim(f) == dim - 1], b
+            assert monoid._facets(b) == [
+                f for f in lattice
+                if f & b == f and f != b and monoid._face_dim(f) == dim - 1
+            ], b
             faces += 1
     assert faces > 2000
+
+
+# Two d=5 pairs with I = {1, 2, 3, 4} and J full: the values > 10 in the
+# order 11, ..., 20, and the values up to 10 in increasing order, placed by
+# a Dyck word.  Each word maps to its region's ray count and the sha256 of
+# repr(decompose_region_by_face(...)) on its region.
+D5_FULL_REGIONS = {
+    (0,) * 10 + (1,) * 10: (
+        25, "c2e5ab991d6f41232606fc704d5fdec131639c4f378719fa67a9f128df8106bf"),
+    (0,) * 5 + (1, 0) * 5 + (1,) * 5: (
+        37, "d41319f13a27fc93badf3101f94eb469ca63c340dabf9ba13de1bda69be540e8"),
+}
+
+
+def test_d5_full_dimensional_regions():
+    """Two full-dimensional d=5 regions cut into their pinned pieces, and
+    every face their triangulation visits has as facets exactly its faces
+    on the hyperplanes x_i = 0, i in its support, of one dimension less."""
+    I, order = frozenset({1, 2, 3, 4}), tuple(range(11, 21))
+    assert wd_contains(5, I, order)
+    for word, (num_rays, digest) in D5_FULL_REGIONS.items():
+        big, small = iter(order), iter(range(1, 11))
+        wp = WPair(5, I, tuple(next(small) if w else next(big)
+                               for w in word))
+        assert wp.context.J == frozenset(range(1, 10))
+        monoid, A, C, _ = region_of_wpair(wp)
+        groups = decompose_region_by_face(monoid, A, C)
+        assert len(monoid.rays()) == num_rays
+        assert hashlib.sha256(repr(groups).encode()).hexdigest() == digest
+        assert monoid._tri
+        for b in monoid._tri:
+            supports = [s for s in map(cones._support_mask, monoid.rays())
+                        if s & b == s]
+            # the face of b on x_i = 0, for each i in b
+            cut = set()
+            for i in cones._bits(b):
+                f = 0
+                for s in supports:
+                    if not s >> i & 1:
+                        f |= s
+                cut.add(f)
+            dim = monoid._face_dim(b)
+            assert monoid._facets(b) == sorted(
+                (f for f in cut if monoid._face_dim(f) == dim - 1),
+                key=lambda f: (f.bit_count(), cones._bits(f))), (word, b)
 
 
 def test_one_rank_computation_per_region(monkeypatch):
