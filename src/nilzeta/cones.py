@@ -40,7 +40,9 @@ simplex gets one Smith normal form, for its parallelepiped group
 the elements whose coordinates vanish off the piece's rays, folded into
 (0, 1] at the open rays.  Under a monomial map, each ray of a region is
 mapped once, and each box point is summed from its rays' images directly
-in the arena (two coordinates for (q, t)), not in the monoid's.
+in the arena (two coordinates for (q, t)), not in the monoid's.  The
+topological function and c_d read no box points: only a full-dimensional
+top simplex's group order, its lattice multiplicity.
 
 All arithmetic is exact, over int.
 """
@@ -354,33 +356,11 @@ class BoxGroup:
             self._lcm, self._elements = lcm, elements
         return self._lcm, self._elements
 
-    def face_box(self, rays, open_rays=None):
-        """(lcm, coordinates) of the box of the face on rays, a subset of
-        the simplex's rays: each element that is 0 off the face, its
-        coordinates at rays in that order, every 0 at an open ray raised
-        to lcm (a_i = 1) to fold it into (0, 1].  open_rays is a subset
-        of rays, by default all of them."""
-        lcm, elements = self.elements()
-        at = [self.rays.index(r) for r in rays]
-        off = ~_mask(at)
-        fold = [lcm] * len(at) if open_rays is None else \
-            [lcm if r in open_rays else 0 for r in rays]
-        return lcm, [[a[i] or f for i, f in zip(at, fold)]
-                     for support, a in elements if not support & off]
-
-
-def box_count(rays, group=None, open_rays=None):
-    """Number of lattice points Sum a_i r_i with a_i in (0, 1] at the open
-    rays (by default all of them) and in [0, 1) at the others.
-
-    group is the BoxGroup of a simplex that has the rays among its own; by
-    default the rays' own simplex.
-    """
-    if not rays:
-        return 1
-    if group is None:
-        group = BoxGroup(rays)
-    return len(group.face_box(rays, open_rays)[1])
+    def order(self):
+        """Number of elements: the simplex's lattice multiplicity, the
+        index of the lattice its rays generate in the lattice points of
+        their span."""
+        return len(self.elements()[1])
 
 
 def box_points(rays, group=None, images=None, open_rays=None):
@@ -403,7 +383,13 @@ def box_points(rays, group=None, images=None, open_rays=None):
         return [()]
     if group is None:
         group = BoxGroup(rays)
-    lcm, coeffs = group.face_box(rays, open_rays)
+    lcm, elements = group.elements()
+    at = [group.rays.index(r) for r in rays]
+    off = ~_mask(at)
+    fold = [lcm] * len(at) if open_rays is None else \
+        [lcm if r in open_rays else 0 for r in rays]
+    coeffs = [[a[i] or f for i, f in zip(at, fold)]
+              for support, a in elements if not support & off]
     # lcm divides each coordinate of lcm * point, and so of its image
     cols = list(zip(*(rays if images is None else images)))
     points = [tuple([sum(map(mul, col, a)) // lcm for col in cols])
@@ -427,23 +413,20 @@ class SimplicialPiece:
     rays among its own (by default the rays' own simplex).
     """
 
-    __slots__ = ("rays", "open_rays", "sign", "_group")
+    __slots__ = ("rays", "open_rays", "sign", "group")
 
     def __init__(self, rays, group=None, open_rays=None, sign=1):
         self.rays = tuple(tuple(r) for r in rays)
         self.open_rays = self.rays if open_rays is None else tuple(open_rays)
         self.sign = sign
-        self._group = group
+        self.group = group
 
     @property
     def dim(self):
         return len(self.rays)
 
     def box(self):
-        return box_points(self.rays, self._group, open_rays=self.open_rays)
-
-    def count_box(self):
-        return box_count(self.rays, self._group, self.open_rays)
+        return box_points(self.rays, self.group, open_rays=self.open_rays)
 
     def __repr__(self):
         return (f"SimplicialPiece(rays={self.rays}, "
@@ -674,7 +657,7 @@ def genfun_piece(piece: SimplicialPiece, cols, vars, images=None):
     origin = (0,) * len(cols)
     num = {}
     sign = piece.sign
-    for key in box_points(piece.rays, piece._group,
+    for key in box_points(piece.rays, piece.group,
                           [images[ray] for ray in piece.rays],
                           piece.open_rays):
         key = key or origin

@@ -29,12 +29,12 @@ def _dprime(d):
 
 
 def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """The compositions of total into parts nonnegative parts, in
+    lexicographic order: stars and bars, each read off the places of its
+    parts - 1 bars among total + parts - 1."""
+    places = total + parts - 1
+    for bars in combinations(range(places), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (places,)))
 
 
 def hnf_count(n, index_exp, p):

@@ -10,7 +10,8 @@ region, pushed into the (q, t) arena by a monomial substitution.
 
 Specializations: the reduced zeta function is the q -> 1 limit computed
 summand-wise in t alone; the topological zeta function keeps only the
-top-dimensional simplicial pieces and lives in a single variable s.
+full-dimensional top simplices, each weighted by its lattice multiplicity,
+and lives in a single variable s.
 """
 
 from __future__ import annotations
@@ -476,14 +477,14 @@ def _sweep(d, regions, n, kinds, progress):
     Each region is (Dyck word, (q, t) map columns, Gaussian product,
     pieces grouped by top simplex); progress, if given, is called once per
     region.  The (q, t) terms are collected once, by Dyck word: the p-adic
-    function is the sum of the overlap summands.  Only the
-    top-dimensional (dimension D = d + d') pieces reach the topological
-    function and c_d.  These are the full +1 pieces of the top simplices
-    of a D-dimensional region, one per simplex, whose box count is the
-    order of the simplex's parallelepiped group.  Each adds that count
-    over the product of the linear forms b*s - a of its rays (c_d: over
-    the product of the b).  The piece counts in the provenance count the
-    signed half-open pieces.
+    function is the sum of the overlap summands.  Only D-dimensional
+    (D = d + d') pieces reach the topological function and c_d, and each
+    top simplex with D rays has one: its full +1 piece, whose half-open
+    box holds one point per element of the simplex's parallelepiped group
+    (the other pieces leave out rays).  So each such simplex adds its
+    group's order over the product of the linear forms b*s - a of its rays
+    (c_d: over the product of the b).  The piece counts in the provenance
+    count the signed half-open pieces.
     """
     start = time.time()
     D = d + _dprime(d)
@@ -503,14 +504,15 @@ def _sweep(d, regions, n, kinds, progress):
         if "topological" in kinds or "c_d" in kinds:
             q_col, t_col = cols
             scale = sum(u_poly.terms.values())
-            for p in (p for _, ps in groups for p in ps if p.dim == D):
-                assert p.sign == 1, p
+            for simplex, pieces in groups:
+                if len(simplex) < D:
+                    continue
                 den = {}
-                for ray in p.rays:
+                for ray in simplex:
                     key = (sum(map(mul, ray, t_col)),
                            sum(map(mul, ray, q_col)))
                     den[key] = den.get(key, 0) + 1
-                count = scale * p.count_box()
+                count = scale * pieces[0].group.order()
                 if "topological" in kinds:
                     s_terms.append(LinearFactoredFunction([count], den))
                 if "c_d" in kinds:

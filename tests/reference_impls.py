@@ -305,7 +305,7 @@ def region_dump(monoid: DiophantineMonoid, A, C):
             gens = ",".join(str(tuple(r)) for r in piece.rays)
             opened = ",".join(str(tuple(r)) for r in piece.open_rays)
             lines.append(f"{piece.sign:+d}; {piece.dim}; {gens}; {opened}; "
-                         f"{piece.count_box()}")
+                         f"{len(piece.box())}")
     return "\n".join(lines)
 
 

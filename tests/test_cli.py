@@ -177,6 +177,14 @@ def test_oracle_command(capsys):
     assert code == 3
 
 
+def test_oracle_at_index_one_in_a_large_rank(capsys):
+    # rank 45 + 990 = 1,035 has one lattice of index p^0; its diagonal's
+    # parts are listed without a call per part
+    code, out, err = run(capsys, "oracle", "--d", "45", "--p", "2",
+                         "--n", "0")
+    assert (code, out, err) == (0, "1\n", "")
+
+
 def test_oracle_guard_answers_at_once(capsys):
     # 400 has about 9 * 10^10 compositions into 6 parts; the guard must
     # count the forms without listing them

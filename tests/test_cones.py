@@ -15,7 +15,6 @@ from nilzeta.cones import (
     BoxGroup,
     DiophantineMonoid,
     SimplicialPiece,
-    box_count,
     box_points,
     decompose_region_by_face,
     extreme_rays,
@@ -255,13 +254,11 @@ def test_extreme_rays_random_systems():
 
 def test_box_points_unimodular():
     assert box_points([(1, 0), (0, 1)]) == [(1, 1)]
-    assert box_count([(1, 0), (0, 1)]) == 1
 
 
 def test_box_points_index_two():
     # cone on (1,1) and (1,-1): box holds (1,1)+(1,-1) scaled and (1,0)+(1,0)?
     pts = box_points([(1, 1), (1, -1)])
-    assert box_count([(1, 1), (1, -1)]) == 2
     assert len(pts) == 2
     brute = brute_box([(1, 1), (1, -1)])
     assert sorted(pts) == sorted(brute)
@@ -314,7 +311,6 @@ def brute_box(rays, open_rays=None):
 ])
 def test_box_points_vs_brute(rays):
     assert sorted(box_points(rays)) == sorted(brute_box(rays))
-    assert box_count(rays) == len(box_points(rays))
 
 
 def region_points_brute(monoid, A, C, bound):
@@ -455,11 +451,13 @@ def _d4_pinned_pairs():
 
 def test_cell_box_points_match_a_smith_form_per_cell():
     """Every piece of every d=3 region and of the pinned d=4 pairs reads
-    the box points and count of a Smith form of its own rays off its top
-    simplex, folded at its open rays; and so does the open cell on every
-    face of every top simplex.  Small pieces are checked by rational scan
+    the box points of a Smith form of its own rays off its top simplex,
+    folded at its open rays; and so does the open cell on every face of
+    every top simplex.  A top simplex's full piece has one box point per
+    element of its group.  Small pieces are checked by rational scan
     too."""
     seen = set()
+    orders = set()
     for wp in enumerate_Wd(3) + _d4_pinned_pairs():
         monoid, A, C, _ = region_of_wpair(wp)
         for simplex, pieces in decompose_region_by_face(monoid, A, C):
@@ -472,10 +470,14 @@ def test_cell_box_points_match_a_smith_form_per_cell():
                 seen.add(key)
                 want = reference_box(p.rays, p.open_rays)
                 assert p.box() == want, p
-                assert p.count_box() == len(want), p
+                if p is pieces[0]:
+                    # the full piece: one box point per group element
+                    assert p.rays == simplex and p.sign == 1
+                    assert p.group.order() == len(want), p
+                    orders.add(len(want))
                 if p.rays and _maximal_minor(p.rays) ** p.dim <= 256:
                     assert set(want) == brute_box(p.rays, p.open_rays), p
-    assert len(seen) > 800
+    assert len(seen) > 800 and orders == {1, 2, 4, 8}
 
 
 @pytest.mark.parametrize("simplex", [
@@ -493,14 +495,12 @@ def test_faces_read_off_a_simplex_group(simplex):
         for face in combinations(simplex, k):
             pts = box_points(face, group)
             assert set(pts) == brute_box(face), face
-            assert box_count(face, group) == len(pts)
             if k < len(simplex):
                 beyond_sum += pts != [tuple(map(sum, zip(*face)))]
             for j in range(k + 1):
                 for opened in combinations(face, j):
                     pts = box_points(face, group, open_rays=opened)
                     assert set(pts) == brute_box(face, opened), (face, opened)
-                    assert box_count(face, group, opened) == len(pts)
     assert beyond_sum == 1
 
 
@@ -527,7 +527,7 @@ def test_box_points_through_images_on_every_d3_cell():
             for p in pieces + [SimplicialPiece(S, group)
                                for S in _subsets(simplex)]:
                 for c in (cols, cols[-1:]):
-                    got = box_points(p.rays, p._group,
+                    got = box_points(p.rays, p.group,
                                      [_image(r, c) for r in p.rays],
                                      p.open_rays)
                     want = sorted(_image(x, c) for x in p.box()) \
@@ -683,7 +683,6 @@ def test_one_smith_form_per_top_simplex(monkeypatch):
         for _, simplex_pieces in groups:
             for p in simplex_pieces:
                 p.box()
-                p.count_box()
                 pieces += 1
         top = frozenset().union(*(monoid.support(r) for r in monoid.rays()
                                   if monoid.support(r) <= C))

@@ -10,6 +10,7 @@ from nilzeta.arith import rf_series_coeffs
 from nilzeta.oracle import (
     GUARD,
     CapacityExceeded,
+    _compositions,
     check_series_capacity,
     compare_routes,
     count_subalgebras,
@@ -75,6 +76,20 @@ def test_hnf_count_is_the_composition_sum():
                     for diag in product(range(k + 1), repeat=n)
                     if sum(diag) == k)
                 assert hnf_count(n, k, p) == by_diagonal, (n, k, p)
+
+
+def _compositions_by_recursion(total, parts):
+    if parts == 1:
+        return [(total,)]
+    return [(first,) + rest for first in range(total + 1)
+            for rest in _compositions_by_recursion(total - first, parts - 1)]
+
+
+def test_compositions_keep_the_recursive_order():
+    for parts in range(1, 7):
+        for total in range(8):
+            assert list(_compositions(total, parts)) == \
+                _compositions_by_recursion(total, parts), (total, parts)
 
 
 def test_gss_partial_small():

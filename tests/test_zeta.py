@@ -1,6 +1,7 @@
 """Assembled zeta functions against closed forms, invariants, bijections."""
 
 import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -373,6 +374,29 @@ def test_topological_golden():
 def test_c_constants():
     for d in (2, 3):
         assert c_constant(d) == C_CONSTANTS[d]
+
+
+# sha256 of the sorted-key JSON of zeta_topological(4).value, the full
+# sweep's bytes
+D4_TOPOLOGICAL_DIGEST = \
+    '93183f6b2066edf2f587eb31e1e73cd626581936406ced7c1100d3db8ccb6c5c'
+
+
+def test_d4_topological_and_c4_from_the_full_dimensional_pairs():
+    """A pair's region has dimension at most |I| + |J| + 2, and only
+    D-dimensional pieces reach the topological function and c_d; so the
+    W_4 pairs with I = {1, 2, 3} and J = {1, ..., 5} (the 132 Dyck words
+    times 2 orders) give the whole d=4 topological function and c_4.
+    Their group orders reach 64."""
+    full = [wp for wp in enumerate_Wd(4)
+            if wp.I == {1, 2, 3} and wp.context.J == set(range(1, 6))]
+    assert len(full) == 264
+    res = zeta_all(4, ("topological", "c_d"), pairs=full)
+    top = res["topological"].value
+    text = json.dumps(top.to_json_obj(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == D4_TOPOLOGICAL_DIGEST
+    assert lff_equal(top, golden_topological(4))
+    assert res["c_d"] == C_CONSTANTS[4] == Fraction(569, 2304)
 
 
 def test_reduced_is_padic_at_q_1():
