@@ -54,6 +54,17 @@ def heartbeat(every=200):
     return cb
 
 
+def _latex_sum(terms):
+    """A sum of (coefficient, monomial) terms, "" for the monomial 1: each
+    sign folded into its + or -, a unit coefficient left out before a
+    monomial."""
+    bits = []
+    for c, mono in terms:
+        coeff = "" if abs(c) == 1 and mono else str(abs(c))
+        bits.append(f"{'-' if c < 0 else '+'} {coeff}{mono}")
+    return " ".join(bits).lstrip("+ ") or "0"
+
+
 def render_latex(value):
     """Factored display with denominator factors by decreasing q-exponent."""
     if isinstance(value, FactoredRationalFunction):
@@ -66,27 +77,23 @@ def render_latex(value):
                     bits.append(v)
                 elif x:
                     bits.append(f"{v}^{{{x}}}")
-            return " ".join(bits) or "1"
+            return " ".join(bits)
 
-        num_bits = []
-        for e in sorted(value.num.terms, key=lambda e: (e[-1], e)):
-            c = value.num.terms[e]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            coeff = "" if mag == 1 and any(e) else str(mag)
-            num_bits.append(f"{sign} {coeff}{mono(e) if any(e) else ('' if coeff else '1')}".strip())
-        num = " ".join(num_bits).lstrip("+ ").strip() or "0"
+        num = _latex_sum((value.num.terms[e], mono(e))
+                         for e in sorted(value.num.terms,
+                                         key=lambda e: (e[-1], e)))
         den_bits = []
         for e, m in sorted(value.den.items(), key=lambda em: (-em[0][0], em[0])):
             factor = f"(1 - {mono(e)})"
             den_bits.append(factor + (f"^{{{m}}}" if m > 1 else ""))
         return f"\\frac{{{num}}}{{{''.join(den_bits) or '1'}}}"
     # univariate in s
-    num = " + ".join(f"{c} s^{{{i}}}" for i, c in enumerate(value.num) if c)
-    den = "".join(
-        f"({b} s - {a})" + (f"^{{{m}}}" if m > 1 else "")
-        for (b, a), m in sorted(value.den.items()))
-    return f"\\frac{{{num or '0'}}}{{{den or '1'}}}"
+    num = _latex_sum((c, "" if i == 0 else "s" if i == 1 else f"s^{{{i}}}")
+                     for i, c in enumerate(value.num) if c)
+    den = "".join((f"({b} s - {a})" if a else f"({b} s)")
+                  + (f"^{{{m}}}" if m > 1 else "")
+                  for (b, a), m in sorted(value.den.items()))
+    return f"\\frac{{{num}}}{{{den or '1'}}}"
 
 
 def render(result, fmt):

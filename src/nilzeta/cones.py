@@ -450,7 +450,6 @@ class DiophantineMonoid:
         self._rays = None
         self._ray_masks = None
         self._tri = {}
-        self._fdim = {}
 
     def rays(self):
         if self._rays is None:
@@ -523,11 +522,8 @@ class DiophantineMonoid:
         nonzero invariant factors of the matrix whose columns they are
         (less its zero rows and solved coordinates, as in
         BoxGroup.elements)."""
-        dim = self._fdim.get(b)
-        if dim is None:
-            M = _coordinate_rows(self._face_rays(b), self._solved)
-            dim = self._fdim[b] = len(smith_normal_form(M)[0])
-        return dim
+        M = _coordinate_rows(self._face_rays(b), self._solved)
+        return len(smith_normal_form(M)[0])
 
     def _facets(self, b):
         """Supports of the facets of face b, in face_lattice order.

@@ -53,10 +53,17 @@ def hnf_count(n, index_exp, p):
 
 
 def _check_capacity(n, index_exp, p, guard):
-    count = hnf_count(n, index_exp, p)
-    if count > guard:
+    """Raise CapacityExceeded if more than guard forms would be walked.
+
+    The diagonal with all of index_exp in its last place alone has
+    p^((n-1) index_exp) >= 2^((n-1) index_exp) fillings, so an exponent
+    that long exceeds the guard without the exact count, whose table and
+    integers grow with n and index_exp."""
+    if ((n - 1) * index_exp >= guard.bit_length()
+            or hnf_count(n, index_exp, p) > guard):
         raise CapacityExceeded(
-            f"{count} Hermite normal forms exceed the guard of {guard}")
+            f"more than {guard} Hermite normal forms of index "
+            f"{p}^{index_exp} in rank {n}")
 
 
 def _hnf_lattices(n, index_exp, p, guard):

@@ -99,7 +99,7 @@ def phi_sigma(d, sigma):
 
 
 class SigmaContext:
-    """Everything reusable across subsets I for a fixed shuffle sigma."""
+    """The data of a shuffle sigma that its pairs read."""
 
     def __init__(self, d, sigma):
         self.d = d
@@ -113,20 +113,16 @@ class SigmaContext:
         self.J = j_set(d, sigma)
         self.dyck = dyck_of_sigma(d, sigma)
         self.L, self.M = lm_sigma(d, sigma)
-        self._binom_chain = None
-        self._qt_exponents = None
 
     def binom_chain(self):
         """Product of the interval Gaussian binomials along the ascents."""
-        if self._binom_chain is None:
-            chain = sorted(set(self.asc) | {0, 2 * self.dp})
-            out = LaurentPolynomial.one(("u",))
-            L, M = self.L, self.M
-            for lo, hi in zip(chain, chain[1:]):
-                out = poly_mul(out, gaussian_binomial(L[hi] - M[lo],
-                                                      M[hi] - M[lo]))
-            self._binom_chain = out
-        return self._binom_chain
+        chain = sorted(set(self.asc) | {0, 2 * self.dp})
+        out = LaurentPolynomial.one(("u",))
+        L, M = self.L, self.M
+        for lo, hi in zip(chain, chain[1:]):
+            out = poly_mul(out, gaussian_binomial(L[hi] - M[lo],
+                                                  M[hi] - M[lo]))
+        return out
 
     def qt_exponents(self):
         """Per-coordinate (q-exponent, t-exponent) of the numerical map.
@@ -143,28 +139,26 @@ class SigmaContext:
         (_assert_t_positive), and FactoredRationalFunction rejects a factor
         exponent of mixed sign.
         """
-        if self._qt_exponents is None:
-            d, dp = self.d, self.dp
-            v = [corresponding_tuple(d, x) for x in self.sigma] \
-                + [(0,) * (d + dp)]
-            L, M = self.L, self.M
-            weights = [M[k] * (L[k] - M[k]) for k in range(2 * dp + 1)]
-            out = []
-            for c in range(d + dp):
-                a = sum(weights[k] * (v[k - 1][c] - v[k][c])
-                        for k in range(1, 2 * dp + 1))
-                if c < d:
-                    i = c + 1
-                    a += i * (d - i)
-                    b = i
-                else:
-                    j = c - d + 1
-                    a += j * d
-                    b = j
-                out.append((a, b))
-            out.extend([(0, 0)] * self.r)
-            self._qt_exponents = out
-        return self._qt_exponents
+        d, dp = self.d, self.dp
+        v = [corresponding_tuple(d, x) for x in self.sigma] \
+            + [(0,) * (d + dp)]
+        L, M = self.L, self.M
+        weights = [M[k] * (L[k] - M[k]) for k in range(2 * dp + 1)]
+        out = []
+        for c in range(d + dp):
+            a = sum(weights[k] * (v[k - 1][c] - v[k][c])
+                    for k in range(1, 2 * dp + 1))
+            if c < d:
+                i = c + 1
+                a += i * (d - i)
+                b = i
+            else:
+                j = c - d + 1
+                a += j * d
+                b = j
+            out.append((a, b))
+        out.extend([(0, 0)] * self.r)
+        return out
 
 
 def _assert_t_positive(rays, exps):
@@ -180,16 +174,6 @@ def _assert_t_positive(rays, exps):
         "denominator factor without t-dependence"
 
 
-_sigma_cache = {}
-
-
-def sigma_context(d, sigma):
-    key = (d, tuple(sigma))
-    if key not in _sigma_cache:
-        _sigma_cache[key] = SigmaContext(d, sigma)
-    return _sigma_cache[key]
-
-
 # ---------------------------------------------------------------------------
 # Pairs (I, sigma).
 
@@ -197,12 +181,13 @@ def sigma_context(d, sigma):
 class WPair:
     """A pair (I, sigma) of W_d: a subset I of [d-1] and a shuffle."""
 
-    __slots__ = ("d", "I", "sigma")
+    __slots__ = ("d", "I", "sigma", "_context")
 
     def __init__(self, d, I, sigma):
         self.d = d
         self.I = I
         self.sigma = sigma
+        self._context = None
 
     def _key(self):
         return (self.d, self.I, self.sigma)
@@ -220,7 +205,11 @@ class WPair:
 
     @property
     def context(self):
-        return sigma_context(self.d, self.sigma)
+        """The shuffle's SigmaContext, built on first read and kept until
+        the sweep step that reads it is done (_pair_regions)."""
+        if self._context is None:
+            self._context = SigmaContext(self.d, self.sigma)
+        return self._context
 
     def region_sets(self):
         """(A, C) as 0-based coordinate sets of the monoid of sigma."""
@@ -419,7 +408,7 @@ def _region_term(groups, cols, vars, u_poly):
 _region_memo = {}
 
 
-def _pair_regions(d, pairs):
+def _pair_regions(pairs):
     """Yield each pair's region for _sweep, in the order of pairs.
 
     Each region is decomposed in its own coordinates (region_of_wpair), and
@@ -430,10 +419,7 @@ def _pair_regions(d, pairs):
     restriction of its shuffle's to its coordinates, checked to give every
     ray of its region a positive t total, and its own Gaussian weight.
 
-    From d = 4 on there are too many shuffles to keep all their contexts,
-    so a shuffle's cached context is evicted once its region is summed.
-    In W_d (d >= 3) every shuffle carries exactly one I, so none is built
-    twice.
+    A pair's SigmaContext is dropped once its region is summed.
     """
     for wp in pairs:
         monoid, A, C, keep = region_of_wpair(wp)
@@ -447,8 +433,7 @@ def _pair_regions(d, pairs):
         _assert_t_positive(rays, exps)
         yield (wp.context.dyck, list(zip(*exps)), _gaussian_product(wp),
                groups)
-        if d >= 4:
-            _sigma_cache.pop((d, wp.sigma), None)
+        wp._context = None
 
 
 SWEEP_KINDS = ("padic", "overlap", "reduced", "topological", "c_d")
@@ -468,7 +453,7 @@ def zeta_all(d, kinds=SWEEP_KINDS, pairs=None, progress=None):
         raise ValueError(f"unknown kinds {sorted(unknown)}")
     if pairs is None:
         pairs = enumerate_Wd(d)
-    return _sweep(d, _pair_regions(d, pairs), len(pairs), kinds, progress)
+    return _sweep(d, _pair_regions(pairs), len(pairs), kinds, progress)
 
 
 def _sweep(d, regions, n, kinds, progress):

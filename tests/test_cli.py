@@ -1,5 +1,6 @@
 """Command line interface: exit codes, output formats, caching."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -94,6 +95,39 @@ def test_compute_formats(tmp_path, capsys):
                        "--cache-dir", cache)
     assert code == 0
     assert "q" in out and "t" in out
+
+
+# the LaTeX of compute --format latex, each with its trailing newline:
+# exact for the short ones, by sha256 for the long ones
+LATEX = {
+    (2, "padic"):
+        r"\frac{1 + t + q t + q t^{2} + 2q^{2} t^{2} + 2q^{2} t^{3} + q^{3} "
+        r"t^{3} + q^{3} t^{4} + q^{4} t^{4} + q^{4} t^{5}}"
+        r"{(1 - q^{4} t^{4})(1 - q^{3} t^{2})(1 - t^{2})}",
+    (2, "reduced"):
+        r"\frac{1 + 2t + 3t^{2} + 3t^{3} + 2t^{4} + t^{5}}"
+        r"{(1 - t^{4})(1 - t^{2})^{2}}",
+    (2, "topological"): r"\frac{12}{(2 s)(2 s - 3)(4 s - 4)}",
+    (3, "padic"):
+        "89d4ee70d94d8a45ca230cadb80950a3864e19b61f06f384be4902c318f6e84c",
+    (3, "reduced"):
+        "d2491b74e9d39d2e06277e3752584ee9e5ea155a33d8c599441b02a2d8a117d7",
+    (3, "topological"):
+        r"\frac{60480 - 67680s + 18000s^{2}}{(2 s - 2)(2 s - 6)(3 s)"
+        r"(3 s - 8)(4 s - 10)(5 s - 10)(6 s - 14)(9 s - 18)}",
+}
+
+
+@pytest.mark.parametrize("d, kind", sorted(LATEX))
+def test_compute_latex_is_pinned(tmp_path, capsys, d, kind):
+    code, out, _ = run(capsys, "compute", "--d", str(d), "--kind", kind,
+                       "--format", "latex", "--cache-dir", str(tmp_path))
+    assert code == 0
+    want = LATEX[d, kind]
+    if want.startswith("\\frac"):
+        assert out == want + "\n"
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 def test_compute_all_kinds(tmp_path, capsys):
@@ -193,6 +227,18 @@ def test_oracle_guard_answers_at_once(capsys):
     assert (code, out) == (3, "")
     [line] = err.splitlines()
     assert line.startswith("capacity exceeded: ")
+
+
+@pytest.mark.parametrize("d, n", [(300, 1), (4, 20000)])
+def test_oracle_guard_refuses_huge_counts_in_one_line(capsys, d, n):
+    # the counts run to thousands of digits (2^45150 - 1 at d=300): the
+    # guard refuses them from a lower bound, without building or printing
+    # the exact count
+    code, out, err = run(capsys, "oracle", "--d", str(d), "--p", "2",
+                         "--n", str(n))
+    assert (code, out) == (3, "")
+    [line] = err.splitlines()
+    assert line.startswith("capacity exceeded: ") and len(line) < 200
 
 
 @pytest.mark.parametrize("suite", ["oracle", "all"])

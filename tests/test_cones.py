@@ -686,7 +686,9 @@ def test_one_smith_form_per_top_simplex(monkeypatch):
                 pieces += 1
         top = frozenset().union(*(monoid.support(r) for r in monoid.rays()
                                   if monoid.support(r) <= C))
+        taken = len(calls)
         simplices = monoid.triangulation(top) if A <= top else []
+        del calls[taken:]
         assert [s for s, _ in groups] == simplices
         tops += len(simplices)
         ranks += A <= top

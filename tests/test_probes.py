@@ -44,7 +44,6 @@ def test_box_points_probe_sees_every_cell(monkeypatch):
     memo."""
     from nilzeta import zeta
 
-    monkeypatch.setattr(zeta, "_sigma_cache", {})
     monkeypatch.setattr(zeta, "_region_memo", {})
     tracer = _load_tracing().Tracer()
     tracer.install()

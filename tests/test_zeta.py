@@ -36,6 +36,7 @@ from nilzeta.golden import (
 from nilzeta.zeta import (
     QT,
     SWEEP_KINDS,
+    SigmaContext,
     T,
     WPair,
     check_functional_equation,
@@ -51,7 +52,6 @@ from nilzeta.zeta import (
     phi_sigma,
     pole_report,
     region_of_wpair,
-    sigma_context,
     wd_contains,
     zeta_all,
     zeta_no_overlap,
@@ -327,10 +327,10 @@ def test_phi_sigma_shape():
 
 
 def test_numerical_map_values():
-    exps = sigma_context(3, (4, 5, 1, 6, 2, 3)).qt_exponents()
+    exps = SigmaContext(3, (4, 5, 1, 6, 2, 3)).qt_exponents()
     assert exps[0] == (2, 1)
     assert exps[3] == (4, 1)
-    exps2 = sigma_context(2, (2, 1)).qt_exponents()
+    exps2 = SigmaContext(2, (2, 1)).qt_exponents()
     assert exps2 == [(1, 1), (0, 2), (2, 1), (0, 0)]
 
 
@@ -459,14 +459,46 @@ def test_no_overlap_sign_patterns_are_pinned():
                 if k != "seconds"} == {"pairs": n, "pieces": pieces}
 
 
+def _count_contexts(monkeypatch):
+    """Record the (d, sigma) of every SigmaContext the sweep builds."""
+    built = []
+    original = zeta.SigmaContext
+
+    def counted(d, sigma):
+        built.append((d, sigma))
+        return original(d, sigma)
+
+    monkeypatch.setattr(zeta, "SigmaContext", counted)
+    return built
+
+
 def test_overlap_builds_only_its_words_contexts(monkeypatch):
-    monkeypatch.setattr(zeta, "_sigma_cache", {})
+    monkeypatch.setattr(zeta, "_wd_enum_cache", {})
+    built = _count_contexts(monkeypatch)
     zeta_overlap(3, "010101")
     word = (0, 1, 0, 1, 0, 1)
-    expected = {(3, wp.sigma) for wp in enumerate_Wd(3)
-                if dyck_of_sigma(3, wp.sigma) == word}
+    expected = [(3, wp.sigma) for wp in enumerate_Wd(3)
+                if dyck_of_sigma(3, wp.sigma) == word]
     assert 0 < len(expected) < 44
-    assert set(zeta._sigma_cache) == expected
+    assert sorted(built) == sorted(expected)
+
+
+def test_a_sweep_builds_one_context_per_pair(monkeypatch):
+    """Each pair of a sweep builds its own SigmaContext, once, and none is
+    left on a pair afterwards: at d=2 the two pairs share the shuffle
+    (2, 1) and still build one each, and a second sweep over the same
+    pairs builds them all again."""
+    built = _count_contexts(monkeypatch)
+    # fresh pairs: a test that reads wp.context on enumerate_Wd's cached
+    # pairs outside a sweep leaves the context on them
+    for pairs in ([WPair(2, wp.I, wp.sigma) for wp in enumerate_Wd(2)],
+                  [WPair(3, wp.I, wp.sigma) for wp in enumerate_Wd(3)],
+                  [WPair(4, frozenset(I), sigma) for I, sigma in D4_PAIRS]):
+        for _ in range(2):
+            built.clear()
+            zeta_all(pairs[0].d, ("reduced",), pairs=pairs)
+            assert built == [(wp.d, wp.sigma) for wp in pairs]
+            assert all(wp._context is None for wp in pairs)
 
 
 def test_padic_at_zero(z2, z3):
