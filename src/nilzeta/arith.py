@@ -416,31 +416,25 @@ class FactoredRationalFunction:
     """numerator / product over factors (1 - Z^e)^mult.
 
     den maps exponent tuples (all entries >= 0, not all zero) to positive
-    multiplicities.  Factors whose raw exponent has nonpositive entries are
-    canonicalized through (1 - Z^-g) = -Z^-g (1 - Z^g).
+    multiplicities; a nonpositive multiplicity drops its factor, and an
+    exponent with a negative entry is refused.
     """
 
     __slots__ = ("vars", "num", "den")
 
     def __init__(self, num: LaurentPolynomial, den=None):
         self.vars = num.vars
-        den = dict(den or {})
         zero = (0,) * len(self.vars)
         fixed = {}
-        for e, m in den.items():
+        for e, m in (den or {}).items():
             e = tuple(e)
             if m <= 0:
                 continue
             if e == zero:
                 raise ZeroDivisionError("denominator factor (1 - 1)")
             if any(x < 0 for x in e):
-                if any(x > 0 for x in e):
-                    raise ValueError(f"mixed-sign denominator exponent {e}")
-                g = tuple(-x for x in e)
-                sign = -1 if m % 2 else 1
-                num = num.shift(tuple(x * m for x in g)).scale(sign)
-                e = g
-            fixed[e] = fixed.get(e, 0) + m
+                raise ValueError(f"negative denominator exponent {e}")
+            fixed[e] = m
         if num.is_zero():
             fixed = {}
         self.num = num
@@ -479,14 +473,18 @@ class FactoredRationalFunction:
     @classmethod
     def from_json_obj(cls, obj):
         vars = tuple(obj["vars"])
+
+        def exponent(row, lead):
+            if len(row) != lead + len(vars):
+                raise ValueError(f"row {row} does not hold {len(vars)} "
+                                 "exponents")
+            return tuple(int(x) for x in row[lead:])
+
         terms = {}
         for row in obj["num"]:
-            cn, cd, e = int(row[0]), int(row[1]), tuple(int(x) for x in row[2:])
-            c = Fraction(cn, cd)
-            terms[e] = int(c) if c.denominator == 1 else c
-        den = {}
-        for row in obj["den"]:
-            den[tuple(int(x) for x in row[1:])] = int(row[0])
+            c = Fraction(int(row[0]), int(row[1]))
+            terms[exponent(row, 2)] = int(c) if c.denominator == 1 else c
+        den = {exponent(row, 1): int(row[0]) for row in obj["den"]}
         return cls(LaurentPolynomial(vars, terms), den)
 
 

@@ -34,7 +34,8 @@ KINDS = ("padic", "overlap", "no-overlap", "reduced", "topological")
 def default_cache_dir(flag_value):
     if flag_value:
         return flag_value
-    return os.environ.get("NILZETA_CACHE", ".nilzeta-cache")
+    # an empty NILZETA_CACHE means the default, as an unset one does
+    return os.environ.get("NILZETA_CACHE") or ".nilzeta-cache"
 
 
 def heartbeat(every=200):

@@ -53,12 +53,16 @@ def hnf_count(n, index_exp, p):
 
 
 def _check_capacity(n, index_exp, p, guard):
-    """Raise CapacityExceeded if more than guard forms would be walked.
+    """Raise CapacityExceeded if more than guard forms would be walked, or
+    if the n x n buffer that walks them would hold more than guard slots.
 
     The diagonal with all of index_exp in its last place alone has
     p^((n-1) index_exp) >= 2^((n-1) index_exp) fillings, so an exponent
     that long exceeds the guard without the exact count, whose table and
     integers grow with n and index_exp."""
+    if n * n > guard:
+        raise CapacityExceeded(
+            f"rank {n} needs {n * n} buffer slots, more than {guard}")
     if ((n - 1) * index_exp >= guard.bit_length()
             or hnf_count(n, index_exp, p) > guard):
         raise CapacityExceeded(

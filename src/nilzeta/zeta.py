@@ -70,45 +70,28 @@ from .cones import (
 # The linear system attached to a shuffle.
 
 
-def r_set(d, sigma):
-    """Positions i in [2d'-1] where sigma(i) or sigma(i+1) is a pair index."""
-    dp = _dprime(d)
-    return [i for i in range(1, 2 * dp)
-            if sigma[i - 1] > dp or sigma[i] > dp]
-
-
-def phi_sigma(d, sigma):
-    """The defining matrix of the solution monoid of a shuffle.
-
-    One row per position in r_set: the difference of the integer tuples of
-    consecutive shuffle values in the first d + d' columns, and -1 in the
-    slack column matching the row's rank (rows in increasing position
-    order).
-    """
-    dp = _dprime(d)
-    R = r_set(d, sigma)
-    m = d + dp + len(R)
-    v = [corresponding_tuple(d, x) for x in sigma] + [(0,) * (d + dp)]
-    rows = []
-    for pos, i in enumerate(R):
-        w = [v[i - 1][j] - v[i][j] for j in range(d + dp)]
-        slack = [0] * len(R)
-        slack[pos] = -1
-        rows.append(tuple(w + slack))
-    return rows
-
-
 class SigmaContext:
-    """The data of a shuffle sigma that its pairs read."""
+    """The data of a shuffle sigma that its pairs read.  Its rows phi and
+    its (q, t) map come off one table of its steps v(k) - v(k+1), k in
+    [2d'], with v(k) the integer tuple of sigma(k) and v(2d'+1) = 0."""
 
     def __init__(self, d, sigma):
         self.d = d
-        self.dp = _dprime(d)
+        self.dp = dp = _dprime(d)
         self.sigma = tuple(sigma)
-        self.R = r_set(d, sigma)
+        v = [corresponding_tuple(d, x) for x in sigma] + [(0,) * (d + dp)]
+        self.steps = [tuple(map(sub, a, b)) for a, b in zip(v, v[1:])]
+        # positions i in [2d'-1] where sigma(i) or sigma(i+1) is a pair index
+        self.R = [i for i in range(1, 2 * dp)
+                  if sigma[i - 1] > dp or sigma[i] > dp]
         self.r = len(self.R)
-        self.m = d + self.dp + self.r
-        self.phi = phi_sigma(d, sigma)
+        self.m = d + dp + self.r
+        # the defining matrix of the solution monoid of the shuffle: one row
+        # per position i in R (in increasing order), the step at i in the
+        # first d + d' columns and -1 in the slack column of the row's rank
+        self.phi = [self.steps[i - 1]
+                    + tuple(-int(j == pos) for j in range(self.r))
+                    for pos, i in enumerate(self.R)]
         self.asc = ascent_set(sigma)
         self.J = j_set(d, sigma)
         self.dyck = dyck_of_sigma(d, sigma)
@@ -137,17 +120,14 @@ class SigmaContext:
         on the map restricted to the pair's coordinates: every extreme ray
         of its region, so every piece ray, gets a positive t total
         (_assert_t_positive), and FactoredRationalFunction rejects a factor
-        exponent of mixed sign.
+        exponent with a negative entry.
         """
         d, dp = self.d, self.dp
-        v = [corresponding_tuple(d, x) for x in self.sigma] \
-            + [(0,) * (d + dp)]
         L, M = self.L, self.M
-        weights = [M[k] * (L[k] - M[k]) for k in range(2 * dp + 1)]
+        weights = [M[k] * (L[k] - M[k]) for k in range(1, 2 * dp + 1)]
         out = []
         for c in range(d + dp):
-            a = sum(weights[k] * (v[k - 1][c] - v[k][c])
-                    for k in range(1, 2 * dp + 1))
+            a = sum(w * step[c] for w, step in zip(weights, self.steps))
             if c < d:
                 i = c + 1
                 a += i * (d - i)
@@ -274,9 +254,6 @@ def _subsets_lex(n):
     return [frozenset(s) for s in subs]
 
 
-_wd_enum_cache = {}
-
-
 def _admitted_orders(d, I):
     """The orders of the values > d' that wd_contains admits with I, in
     lex order.
@@ -314,15 +291,12 @@ def enumerate_Wd(d):
     since shuffles of distinct orders are distinct, sorting those of one I
     gives its pairs in the order of sorted S_d.
     """
-    if d in _wd_enum_cache:
-        return list(_wd_enum_cache[d])
     out = []
     for I in _subsets_lex(d - 1):
         sigmas = sorted(s for order in _admitted_orders(d, I)
                         for s in admissible_shuffles(d, order))
         out.extend(WPair(d, I, sigma) for sigma in sigmas)
-    _wd_enum_cache[d] = out
-    return list(out)
+    return out
 
 
 def region_of_wpair(wp: WPair):
@@ -331,7 +305,7 @@ def region_of_wpair(wp: WPair):
     The region is the face of sigma's monoid on the coordinates C of
     region_sets, cut down to the points positive on A.  keep lists those
     coordinates in order; the returned monoid is cut out by the rows of
-    phi_sigma restricted to them (C holds every slack), and A and C are
+    the shuffle's phi restricted to them (C holds every slack), and A and C are
     renumbered to match, so C is every coordinate.  Its rays are sigma's
     rays supported in C, with the zero coordinates outside C dropped, in
     the same sorted order; so the region decomposes into the same pieces.

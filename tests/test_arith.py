@@ -104,12 +104,12 @@ def test_rf_equal_cross_multiplied():
     assert not rf_equal(f, h)
 
 
-def test_negative_factor_canonicalized():
-    # 1/(1 - q^-1) = -q/(1 - q)
-    f = FactoredRationalFunction(LaurentPolynomial.one(QT), {(-1, 0): 1})
-    g = FactoredRationalFunction(lp({(1, 0): -1}), {(1, 0): 1})
-    assert f.den == {(1, 0): 1}
-    assert rf_equal(f, g)
+def test_negative_factor_refused():
+    # 1/(1 - q^-1) is not written with a negative exponent, nor is a
+    # factor of mixed sign
+    for e in ((-1, 0), (-1, -2), (1, -1)):
+        with pytest.raises(ValueError, match="negative denominator exponent"):
+            FactoredRationalFunction(LaurentPolynomial.one(QT), {e: 1})
 
 
 def test_rf_substitute_monomial_images():

@@ -182,6 +182,17 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     assert any(f.startswith("v1_d2_") for f in os.listdir(cache))
 
 
+def test_empty_cache_env_var_means_the_default(tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.setenv("NILZETA_CACHE", "")
+    monkeypatch.chdir(tmp_path)
+    code, miss, _ = run(capsys, "compute", "--d", "2")
+    assert code == 0
+    assert os.listdir(tmp_path / ".nilzeta-cache") == ["v1_d2_padic.json"]
+    assert run(capsys, "compute", "--d", "2") == (0, miss, "")
+    assert os.listdir(tmp_path) == [".nilzeta-cache"]
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, out, _ = run(capsys, "compute", "--d", "2", "--format", "json",
@@ -239,6 +250,16 @@ def test_oracle_guard_refuses_huge_counts_in_one_line(capsys, d, n):
     assert (code, out) == (3, "")
     [line] = err.splitlines()
     assert line.startswith("capacity exceeded: ") and len(line) < 200
+
+
+def test_oracle_guard_bounds_the_rank_in_one_line(capsys):
+    # rank 200 + 19,900 has one lattice of index p^0, but its n x n buffer
+    # would hold about 4 * 10^8 list slots
+    code, out, err = run(capsys, "oracle", "--d", "200", "--p", "2",
+                         "--n", "0")
+    assert (code, out) == (3, "")
+    assert err == "capacity exceeded: rank 20100 needs 404010000 buffer " \
+        "slots, more than 10000000\n"
 
 
 @pytest.mark.parametrize("suite", ["oracle", "all"])
@@ -441,6 +462,21 @@ def _negative_degree_row(value):
     value["num"].append(["9", "1", -1])
 
 
+def _long_den_row(value):
+    # a third exponent in the (q, t) arena
+    value["den"][0].append(1)
+
+
+def _long_num_row(value):
+    # a second exponent in the t arena
+    value["num"][0].append(7)
+
+
+def _negative_den_row(value):
+    row = value["den"][0]
+    row[1:] = [-x for x in row[1:]]
+
+
 def _zero(value):
     value["num"] = []
 
@@ -453,9 +489,13 @@ def _zero(value):
     (["topological"], _degenerate_factor),
     (["topological"], _change_numerator),
     (["topological"], _negative_degree_row),
+    (["padic"], _long_den_row),
+    (["reduced"], _long_num_row),
+    (["padic"], _negative_den_row),
 ], ids=["padic", "overlap", "reduced", "topological",
         "topological-degenerate", "topological-numerator",
-        "topological-negative-degree"])
+        "topological-negative-degree", "padic-long-den", "reduced-long-num",
+        "padic-negative-den"])
 def test_cache_file_failing_revalidation_is_a_miss(tmp_path, capsys, kind,
                                                    tamper):
     """A tampered entry, and a zeroed one, of every kind: one cache: line,
@@ -479,7 +519,8 @@ def test_cache_file_failing_revalidation_is_a_miss(tmp_path, capsys, kind,
         assert len(reasons) == 1 and name in reasons[0], err
         if change is _zero:
             assert reasons[0].endswith(": zero function")
-        if change in (_degenerate_factor, _negative_degree_row):
+        if change in (_degenerate_factor, _negative_degree_row,
+                      _long_den_row, _long_num_row, _negative_den_row):
             assert ": unreadable (ValueError: " in reasons[0]
         if change is _change_numerator:
             assert reasons[0].endswith(": residue 5/24 at s=0, expected 1/2")

@@ -571,11 +571,12 @@ def test_facets_by_supports_are_the_faces_one_dimension_down():
     faces = 0
     for monoid in _sigma_monoids(enumerate_Wd(3) + _d4_pinned_pairs()):
         lattice = [cones._mask(B) for B in reference_lattice(monoid)]
+        dims = {f: monoid._face_dim(f) for f in lattice}
         for b in lattice:
-            dim = monoid._face_dim(b)
+            dim = dims[b]
             assert monoid._facets(b) == [
                 f for f in lattice
-                if f & b == f and f != b and monoid._face_dim(f) == dim - 1
+                if f & b == f and f != b and dims[f] == dim - 1
             ], b
             faces += 1
     assert faces > 2000

@@ -47,6 +47,13 @@ def test_capacity_guard():
         count_subalgebras(4, 2, 8, guard=10)
 
 
+def test_capacity_guard_bounds_the_rank():
+    # index p^0 has one form, but rank 1,035 needs a buffer of 1,071,225
+    # slots
+    with pytest.raises(CapacityExceeded, match="rank 1035"):
+        count_subalgebras(45, 2, 0, guard=10 ** 5)
+
+
 def test_series_guard_is_the_enumeration_guard():
     # check_series_capacity stops at the first index the enumeration refuses
     d, p, n = 4, 2, 10

@@ -49,7 +49,6 @@ from nilzeta.zeta import (
     no_overlap_exponents,
     no_overlap_monoid,
     padic_at_zero_is_one,
-    phi_sigma,
     pole_report,
     region_of_wpair,
     wd_contains,
@@ -305,7 +304,6 @@ def test_orders_are_pruned_by_prefix(monkeypatch):
         return original(d, I, sigma)
 
     monkeypatch.setattr(zeta, "wd_contains", counted)
-    monkeypatch.setattr(zeta, "_wd_enum_cache", {})
     assert len(zeta.enumerate_Wd(3)) == 44
     assert len(calls) == 48
     calls.clear()
@@ -316,14 +314,14 @@ def test_orders_are_pruned_by_prefix(monkeypatch):
 
 
 def test_phi_sigma_shape():
-    rows = phi_sigma(3, (4, 5, 1, 6, 3, 2))
+    rows = SigmaContext(3, (4, 5, 1, 6, 3, 2)).phi
     assert rows == [
         (0, 1, 0, 0, 0, 0, -1, 0, 0, 0),
         (1, 1, 2, -1, -1, -1, 0, -1, 0, 0),
         (0, -1, -2, 1, 1, 1, 0, 0, -1, 0),
         (0, 1, 2, 0, 0, -1, 0, 0, 0, -1),
     ]
-    assert phi_sigma(2, (2, 1)) == [(1, 2, -1, -1)]
+    assert SigmaContext(2, (2, 1)).phi == [(1, 2, -1, -1)]
 
 
 def test_numerical_map_values():
@@ -473,7 +471,6 @@ def _count_contexts(monkeypatch):
 
 
 def test_overlap_builds_only_its_words_contexts(monkeypatch):
-    monkeypatch.setattr(zeta, "_wd_enum_cache", {})
     built = _count_contexts(monkeypatch)
     zeta_overlap(3, "010101")
     word = (0, 1, 0, 1, 0, 1)
