@@ -6,8 +6,9 @@ integer exponent vectors alpha.  This module keeps that factored shape:
 denominators are never expanded, and all coefficients are exact rationals.
 
 Variable arenas are tuples of variable names, e.g. ("q", "t") or
-("X1", "X2", "Y1", "Z1").  An exponent vector is a plain tuple of ints of
-the arena's length.
+("X1", "X2", "Y1", "Z1").  At the API an exponent vector is a tuple of ints
+of the arena's length; inside the binomial carrier's kernels a monomial is one
+int, packed in slots as wide as each call's inputs need (_width).
 
 Two carriers keep that shape: FactoredRationalFunction over binomials, and
 LinearFactoredFunction over linear factors b*s - a, for the topological
@@ -21,10 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
-from operator import add, mul
-
-# weights of the fibre test in poly_div_binomial; any value is sound
-_FIBRE_BASE = 1009
+from operator import mul
 
 
 class NotDivisible(Exception):
@@ -51,11 +49,7 @@ class LaurentPolynomial:
 
     def __init__(self, vars, terms):
         self.vars = tuple(vars)
-        clean = {}
-        for e, c in terms.items():
-            if c:
-                clean[tuple(e)] = c
-        self.terms = clean
+        self.terms = {tuple(e): c for e, c in terms.items() if c}
 
     @classmethod
     def zero(cls, vars):
@@ -63,8 +57,6 @@ class LaurentPolynomial:
 
     @classmethod
     def constant(cls, vars, c):
-        if not c:
-            return cls.zero(vars)
         return cls(vars, {(0,) * len(vars): c})
 
     @classmethod
@@ -75,8 +67,7 @@ class LaurentPolynomial:
         return not self.terms
 
     def is_one(self):
-        z = (0,) * len(self.vars)
-        return len(self.terms) == 1 and self.terms.get(z) == 1
+        return self.terms == {(0,) * len(self.vars): 1}
 
     def __eq__(self, other):
         return (isinstance(other, LaurentPolynomial)
@@ -97,8 +88,6 @@ class LaurentPolynomial:
         return self + (-other)
 
     def scale(self, c):
-        if not c:
-            return LaurentPolynomial.zero(self.vars)
         return LaurentPolynomial(self.vars, {e: c * x for e, x in self.terms.items()})
 
     def shift(self, e):
@@ -117,20 +106,11 @@ class LaurentPolynomial:
         """Map variable i to the monomial with exponent images[i] in new_vars."""
         if len(images) != len(self.vars):
             raise ArenaMismatch("one image per source variable required")
-        k = len(new_vars)
+        cols = [[image[j] for image in images] for j in range(len(new_vars))]
         terms = {}
         for e, c in self.terms.items():
-            img = [0] * k
-            for exp, image in zip(e, images):
-                if exp:
-                    for j in range(k):
-                        img[j] += exp * image[j]
-            key = tuple(img)
-            s = terms.get(key, 0) + c
-            if s:
-                terms[key] = s
-            elif key in terms:
-                del terms[key]
+            key = tuple([sum(map(mul, e, col)) for col in cols])
+            terms[key] = terms.get(key, 0) + c
         return LaurentPolynomial(new_vars, terms)
 
     def evaluate(self, values):
@@ -144,11 +124,6 @@ class LaurentPolynomial:
             total += v
         return total
 
-    def min_exponents(self):
-        if not self.terms:
-            return (0,) * len(self.vars)
-        return tuple(min(e[i] for e in self.terms) for i in range(len(self.vars)))
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -160,18 +135,72 @@ class LaurentPolynomial:
         return " + ".join(bits)
 
 
+# ---------------------------------------------------------------------------
+# The binomial carrier's kernels pack Z^e as the int sum of e_i * 2^(w(n-i)),
+# in balanced slots of w bits (_width): a product of monomials is one
+# addition, and packed keys sort as their tuples do.
+
+
+def _reach(terms, den=None):
+    """The largest absolute value of an exponent in the keys of terms, after
+    their product by the factors f^m of den if given."""
+    top = max(map(abs, chain.from_iterable(terms)), default=0)
+    if den:
+        top += sum(m * max(map(abs, f)) for f, m in den.items())
+    return top
+
+
+def _width(top, factors=()):
+    """Slot width for exponents up to top in absolute value and for the bases
+    x - kf, |k| <= top + 1, of the lines _div_binomial keys by factor f."""
+    f = max(map(abs, chain.from_iterable(factors)), default=0)
+    return (top + (top + 1) * f).bit_length() + 1
+
+
+def _pack(e, w):
+    x = 0
+    for v in e:
+        x = (x << w) + v
+    return x
+
+
+def _packed(terms, w):
+    columns = iter(zip(*terms))
+    keys = next(columns, [0] * len(terms))  # no column: zero variables
+    for column in columns:
+        keys = [(x << w) + v for x, v in zip(keys, column)]
+    return dict(zip(keys, terms.values()))
+
+
+def _unpacked(vars, terms, w):
+    """The LaurentPolynomial of packed terms, which hold no zero coefficient."""
+    n, h = len(vars), 1 << (w - 1)
+    mask = 2 * h - 1
+    off = h * ((1 << w * n) - 1) // mask  # h in every slot
+    columns = [[(x + off >> s & mask) - h for x in terms]
+               for s in range(w * (n - 1), -1, -w)]
+    keys = zip(*columns) if n else [()] * len(terms)
+    p = LaurentPolynomial.__new__(LaurentPolynomial)
+    p.vars, p.terms = tuple(vars), dict(zip(keys, terms.values()))
+    return p
+
+
 def poly_mul(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
     _check_same_arena(a, b)
+    if a.is_one():  # each Gaussian chain starts with a product by one
+        return b
+    w = _width(_reach(a.terms) + _reach(b.terms))
     terms = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
-            key = tuple(map(add, e1, e2))
+    right = _packed(b.terms, w).items()
+    for x1, c1 in _packed(a.terms, w).items():
+        for x2, c2 in right:
+            key = x1 + x2
             s = terms.get(key, 0) + c1 * c2
             if s:
                 terms[key] = s
             elif key in terms:
                 del terms[key]
-    return LaurentPolynomial(a.vars, terms)
+    return _unpacked(a.vars, terms, w)
 
 
 def poly_exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
@@ -185,8 +214,7 @@ def poly_exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynom
     if a.is_zero():
         return LaurentPolynomial.zero(a.vars)
     _check_same_arena(a, b)
-    sa = a.min_exponents()
-    sb = b.min_exponents()
+    sa, sb = (tuple(map(min, zip(*p.terms))) for p in (a, b))
     ra = {tuple(x - y for x, y in zip(e, sa)): c for e, c in a.terms.items()}
     rb = {tuple(x - y for x, y in zip(e, sb)): c for e, c in b.terms.items()}
     lead_b = max(rb)
@@ -197,36 +225,33 @@ def poly_exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynom
         diff = tuple(x - y for x, y in zip(lead_a, lead_b))
         if any(x < 0 for x in diff):
             raise NotDivisible
-        c = Fraction(ra[lead_a], cb) if not isinstance(cb, Fraction) \
-            else Fraction(ra[lead_a]) / cb
+        c = Fraction(ra[lead_a], cb)
         if c.denominator == 1:
             c = int(c)
         quot[diff] = c
-        for e, cf in rb.items():
-            key = tuple(x + y for x, y in zip(diff, e))
-            s = ra.get(key, 0) - c * cf
-            if s:
-                ra[key] = s
-            elif key in ra:
-                del ra[key]
+        _add_terms(ra, {tuple(x + y for x, y in zip(diff, e)): -c * cf
+                        for e, cf in rb.items()})
     shift = tuple(x - y for x, y in zip(sa, sb))
     return LaurentPolynomial(a.vars, quot).shift(shift)
 
 
-def _add_terms(acc, terms, e=None):
-    """acc += terms, or acc += terms * (1 - Z^e) given e, in place.
+def _add_terms(acc, terms, f=None, w=None):
+    """acc += terms, or acc += terms * (1 - Z^f) given f, in place, on terms
+    packed in slots of w bits; without f the keys may be of any kind.
 
     Neither acc nor terms holds a zero coefficient, and acc holds none
     after: a key whose sum vanishes was in acc.
     """
+    if f is not None:
+        f = _pack(f, w)
     for x, c in terms.items():
         s = acc.get(x, 0) + c
         if s:
             acc[x] = s
         else:
             del acc[x]
-        if e is not None:
-            x = tuple(map(add, x, e))
+        if f is not None:
+            x += f
             s = acc.get(x, 0) - c
             if s:
                 acc[x] = s
@@ -235,9 +260,16 @@ def _add_terms(acc, terms, e=None):
     return acc
 
 
+def _times_binomials(a: LaurentPolynomial, den) -> LaurentPolynomial:
+    """a times the factors (1 - Z^f)^m of den."""
+    w = _width(_reach(a.terms, den))
+    return _unpacked(a.vars, _times(lambda t, f: _add_terms({}, t, f, w),
+                                    _packed(a.terms, w), den), w)
+
+
 def _mul_binomial(a: LaurentPolynomial, e) -> LaurentPolynomial:
     """a * (1 - Z^e)."""
-    return LaurentPolynomial(a.vars, _add_terms({}, a.terms, e))
+    return _times_binomials(a, {tuple(e): 1})
 
 
 def poly_div_binomial(a: LaurentPolynomial, e):
@@ -251,49 +283,50 @@ def poly_div_binomial(a: LaurentPolynomial, e):
     The running sum carries across gaps in a line: 1 - Z^{3e} has
     quotient 1 + Z^e + Z^{2e}.  Linear in the size of a and of q.
 
-    Most divisions attempted while normalizing fail, so a cheaper
-    necessary test runs first: x -> u.x with u.e = 0 sends each line to
-    one integer, so the coefficient sums over its fibres vanish too.
+    Each line is keyed exactly, by its base x - k e with entry i in
+    [0, |e_i|) for the first nonzero e_i, without fibre sums or weights.
+    Never key it by the packed residue x % E: for e = (0, 2) that merges
+    the lines of q^a t^b and q^(a+1) t^b.
     """
-    e = tuple(e)
+    w = _width(_reach(a.terms), [e])
+    q = _div_binomial(_packed(a.terms, w), tuple(e), w)
+    return q if q is None else _unpacked(a.vars, q, w)
+
+
+def _div_binomial(terms, e, w):
+    """poly_div_binomial on terms packed in slots of w bits, as _width gave
+    them for e: the packed quotient, or None."""
     i = next((k for k, x in enumerate(e) if x), None)
     if i is None:
         raise ValueError("(1 - 1) is not a valid factor")
-    terms = a.terms
-    # u = e_i w - (w.e) 1_i has u.e = 0 whatever the weights w
-    w = [_FIBRE_BASE ** j for j in range(len(e))]
-    u = [e[i] * wj for wj in w]
-    u[i] -= sum(map(mul, w, e))
-    fibres = {}
+    ei, E, h = e[i], _pack(e, w), 1 << (w - 1)
+    # entry i of x is its slot at this shift, less h
+    off, shift, mask = _pack((h,) * len(e), w), w * (len(e) - 1 - i), 2 * h - 1
+    # most divisions fail: test the line sums before sorting or walking
+    sums = {}
     for x, c in terms.items():
-        k = sum(map(mul, u, x))
-        fibres[k] = fibres.get(k, 0) + c
-    if any(fibres.values()):
+        base = x - (((x + off) >> shift & mask) - h) // ei * E
+        sums[base] = sums.get(base, 0) + c
+    if any(sums.values()):
         return None
-    # a line x + Z e is keyed by its point with coordinate i in [0, |e_i|)
-    ei = e[i]
     lines = {}
     for x, c in terms.items():
-        k = x[i] // ei
-        base = tuple(xj - k * ej for xj, ej in zip(x, e))
-        lines.setdefault(base, []).append((k, c))
+        k = (((x + off) >> shift & mask) - h) // ei
+        lines.setdefault(x - k * E, []).append((k, c))
     quot = {}
     for base, line in lines.items():
         line.sort()
-        run = 0
-        prev = None
+        run, prev = 0, None
         for k, c in line:
             if run:
                 # the quotient keeps the running sum over the gap prev+1..k-1
                 for j in range(prev + 1, k):
-                    quot[tuple(b + j * ej for b, ej in zip(base, e))] = run
+                    quot[base + j * E] = run
             run += c
             if run:
-                quot[tuple(b + k * ej for b, ej in zip(base, e))] = run
+                quot[base + k * E] = run
             prev = k
-        if run:
-            return None
-    return LaurentPolynomial(a.vars, quot)
+    return quot
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +371,12 @@ def _uncancelled(a, b):
     return a - b, b - a
 
 
-def _equal(mul, fnum, fden, gnum, gden):
+def _equal(times, fnum, fden, gnum, gden):
     """Whether fnum / fden == gnum / gden, by cross-multiplying with the
-    factors the two denominators do not share."""
+    factors the two denominators do not share; times(num, den) is num times
+    the factors of den."""
     fden, gden = _uncancelled(fden, gden)
-    return _times(mul, fnum, gden) == _times(mul, gnum, fden)
+    return times(fnum, gden) == times(gnum, fden)
 
 
 def _lift(new, add, groups, copies):
@@ -375,9 +409,19 @@ def _lift(new, add, groups, copies):
     return acc
 
 
-def _sum_common(new, add, terms):
-    """(num, lcm): the sum of the (num, den) pairs terms as num / lcm, over
-    their factor-wise least common denominator lcm, not yet normalized.
+def _lcm(dens):
+    """The factor-wise least common multiple of the denominators dens."""
+    lcm = {}
+    for den in dens:
+        for f, m in den.items():
+            if lcm.get(f, 0) < m:
+                lcm[f] = m
+    return lcm
+
+
+def _sum_common(new, add, terms, lcm):
+    """The sum of the (num, den) pairs terms as num / lcm, over their
+    factor-wise least common denominator lcm (_lcm), not yet normalized.
     new(num) copies a numerator, and new(()) is zero; add(acc, num, f=None)
     is acc + num, times the factor f if given, and may write into acc.
 
@@ -389,12 +433,8 @@ def _sum_common(new, add, terms):
     order of the lift.
     """
     groups = {}  # each denominator -> the numerators over it
-    lcm = {}
     for num, den in terms:
         groups.setdefault(frozenset(den.items()), []).append(num)
-        for f, m in den.items():
-            if lcm.get(f, 0) < m:
-                lcm[f] = m
     # the common denominator as copies (f, j), j < lcm[f]; a group holds
     # those numbered below its own multiplicity of f
     held = {}
@@ -409,7 +449,7 @@ def _sum_common(new, add, terms):
             held[frozenset((f, j) for f, m in sig for j in range(m))] = num
     del groups  # the lift does not read these keys; free them first
     copies = frozenset((f, j) for f, m in lcm.items() for j in range(m))
-    return _lift(new, add, held, copies), lcm
+    return _lift(new, add, held, copies)
 
 
 class FactoredRationalFunction:
@@ -459,8 +499,7 @@ class FactoredRationalFunction:
         return f"({self.num!r}) / ({den or '1'})"
 
     def den_poly(self):
-        one = LaurentPolynomial.one(self.vars)
-        return _times(_mul_binomial, one, self.den)
+        return _times_binomials(LaurentPolynomial.one(self.vars), self.den)
 
     def to_json_obj(self):
         num = []
@@ -490,7 +529,10 @@ class FactoredRationalFunction:
 
 def rf_normalize(f: FactoredRationalFunction) -> FactoredRationalFunction:
     """Cancel denominator factors that exactly divide the numerator."""
-    return FactoredRationalFunction(*_cancel(poly_div_binomial, f.num, f.den))
+    w = _width(_reach(f.num.terms), f.den)
+    num, den = _cancel(lambda t, e: _div_binomial(t, e, w),
+                       _packed(f.num.terms, w), f.den)
+    return FactoredRationalFunction(_unpacked(f.vars, num, w), den)
 
 
 def rf_sum_common(terms, vars=None):
@@ -511,16 +553,18 @@ def rf_sum_common(terms, vars=None):
         raise ValueError("empty sum needs an explicit arena")
     for t in terms:
         _check_same_arena(terms[0], t)
-    num, lcm = _sum_common(dict, _add_terms,
-                           [(t.num.terms, t.den) for t in terms])
-    return rf_normalize(FactoredRationalFunction(
-        LaurentPolynomial(vars, num), lcm))
+    lcm = _lcm(t.den for t in terms)
+    w = _width(_reach(chain.from_iterable(t.num.terms for t in terms), lcm))
+    num = _sum_common(dict, lambda acc, t, e=None: _add_terms(acc, t, e, w),
+                      [(_packed(t.num.terms, w), t.den) for t in terms], lcm)
+    return rf_normalize(FactoredRationalFunction(_unpacked(vars, num, w),
+                                                 lcm))
 
 
 def rf_equal(f: FactoredRationalFunction, g: FactoredRationalFunction) -> bool:
     """Exact equality as rational functions, by cross-multiplication."""
     _check_same_arena(f, g)
-    return _equal(_mul_binomial, f.num, f.den, g.num, g.den)
+    return _equal(_times_binomials, f.num, f.den, g.num, g.den)
 
 
 def rf_with_denominator(f: FactoredRationalFunction, den):
@@ -530,11 +574,13 @@ def rf_with_denominator(f: FactoredRationalFunction, den):
     Raises NotDivisible if f cannot be written over that denominator.
     """
     extra, den = _uncancelled(f.den, den)
-    num, left = _cancel(poly_div_binomial, _times(_mul_binomial, f.num, den),
-                        extra)
+    w = _width(_reach(f.num.terms, den), extra)
+    num, left = _cancel(lambda t, e: _div_binomial(t, e, w),
+                        _times(lambda t, e: _add_terms({}, t, e, w),
+                               _packed(f.num.terms, w), den), extra)
     if left:
         raise NotDivisible
-    return num
+    return _unpacked(f.vars, num, w)
 
 
 def rf_invert_vars(f: FactoredRationalFunction) -> FactoredRationalFunction:
@@ -543,16 +589,11 @@ def rf_invert_vars(f: FactoredRationalFunction) -> FactoredRationalFunction:
     Uses 1/(1 - Z^-e) = -Z^e/(1 - Z^e) per denominator factor, keeping the
     canonical factored form.
     """
-    num = f.num.invert_vars()
-    total_shift = [0] * len(f.vars)
-    sign = 1
-    for e, m in f.den.items():
-        if m % 2:
-            sign = -sign
-        for i, x in enumerate(e):
-            total_shift[i] += m * x
-    num = num.shift(tuple(total_shift)).scale(sign)
-    return FactoredRationalFunction(num, f.den)
+    shift = [sum(m * e[i] for e, m in f.den.items())
+             for i in range(len(f.vars))]
+    sign = (-1) ** sum(f.den.values())
+    return FactoredRationalFunction(
+        f.num.invert_vars().shift(shift).scale(sign), f.den)
 
 
 def rf_series_coeffs(f: FactoredRationalFunction, q_value, order):
@@ -588,13 +629,9 @@ def rf_series_coeffs(f: FactoredRationalFunction, q_value, order):
                 power *= ratio
                 k += b
         series = new
-    out = []
-    for deg, c in series.items():
-        if deg < 0 and c:
-            raise ValueError("series has a genuine pole in t at 0")
-    for n in range(order + 1):
-        out.append(series.get(n, Fraction(0)))
-    return out
+    if any(c for deg, c in series.items() if deg < 0):
+        raise ValueError("series has a genuine pole in t at 0")
+    return [series.get(n, Fraction(0)) for n in range(order + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -712,10 +749,13 @@ class LinearFactoredFunction:
 def lff_sum(terms):
     """Sum over the factor-wise least common denominator (_sum_common),
     normalizing once."""
-    return LinearFactoredFunction(*_sum_common(
-        list, _add_linear, [(t.num, t.den) for t in terms])).normalize()
+    lcm = _lcm(t.den for t in terms)
+    return LinearFactoredFunction(_sum_common(
+        list, _add_linear, [(t.num, t.den) for t in terms], lcm),
+        lcm).normalize()
 
 
 def lff_equal(f: LinearFactoredFunction, g: LinearFactoredFunction) -> bool:
     """Exact equality as rational functions, by cross-multiplication."""
-    return _equal(_mul_linear, f.num, f.den, g.num, g.den)
+    return _equal(lambda num, den: _times(_mul_linear, num, den),
+                  f.num, f.den, g.num, g.den)

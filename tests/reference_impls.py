@@ -25,18 +25,29 @@ debugging view of its data, kept beside the tests that use it:
   denominator group lifted to the common denominator on its own, and
   equality by cross-multiplying with both full denominators, against the
   Horner lift and the cross-multiplication by unshared factors that
-  arith.lff_sum and arith.lff_equal share with the binomial carrier.
+  arith.lff_sum and arith.lff_equal share with the binomial carrier;
+- add_terms_tuples, poly_mul_tuples and poly_div_binomial_tuples: the
+  binomial kernels on tuple-keyed terms, as they stood before arith packed
+  each monomial into one int, with mul_binomial_tuples,
+  rf_normalize_tuples, rf_sum_common_tuples and rf_equal_tuples over
+  them; they share arith's cancel loop, lift and cross-multiplication,
+  and differ from arith only in the kernels.
 """
 
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 from nilzeta.arith import (
     FactoredRationalFunction,
     LaurentPolynomial,
     LinearFactoredFunction,
+    _cancel,
+    _equal,
+    _lcm,
+    _sum_common,
+    _times,
     poly_mul,
     rf_normalize,
     upoly_add,
@@ -349,3 +360,107 @@ def lff_equal_full(f: LinearFactoredFunction, g: LinearFactoredFunction):
     right = _times_linear(g.num, f.den)
     pairs = zip(left + [0] * len(right), right + [0] * len(left))
     return upoly_trim([Fraction(a) - Fraction(b) for a, b in pairs]) == []
+
+
+# ---------------------------------------------------------------------------
+# The binomial kernels on tuple keys, the reference for arith's packed ones.
+
+# weights of the fibre test in poly_div_binomial_tuples; any value is sound
+_FIBRE_BASE = 1009
+
+
+def add_terms_tuples(acc, terms, e=None):
+    """acc += terms, or acc += terms * (1 - Z^e) given e, in place."""
+    for x, c in terms.items():
+        s = acc.get(x, 0) + c
+        if s:
+            acc[x] = s
+        else:
+            del acc[x]
+        if e is not None:
+            x = tuple(map(add, x, e))
+            s = acc.get(x, 0) - c
+            if s:
+                acc[x] = s
+            else:
+                del acc[x]
+    return acc
+
+
+def poly_mul_tuples(a: LaurentPolynomial, b: LaurentPolynomial):
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            key = tuple(map(add, e1, e2))
+            s = terms.get(key, 0) + c1 * c2
+            if s:
+                terms[key] = s
+            elif key in terms:
+                del terms[key]
+    return LaurentPolynomial(a.vars, terms)
+
+
+def poly_div_binomial_tuples(a: LaurentPolynomial, e):
+    """q with a = q * (1 - Z^e), or None: the running sum along each line
+    x + Z e, after a fibre test that a weighted sum sends each line to one
+    integer."""
+    e = tuple(e)
+    i = next((k for k, x in enumerate(e) if x), None)
+    if i is None:
+        raise ValueError("(1 - 1) is not a valid factor")
+    terms = a.terms
+    # u = e_i w - (w.e) 1_i has u.e = 0 whatever the weights w
+    w = [_FIBRE_BASE ** j for j in range(len(e))]
+    u = [e[i] * wj for wj in w]
+    u[i] -= sum(map(mul, w, e))
+    fibres = {}
+    for x, c in terms.items():
+        k = sum(map(mul, u, x))
+        fibres[k] = fibres.get(k, 0) + c
+    if any(fibres.values()):
+        return None
+    # a line x + Z e is keyed by its point with coordinate i in [0, |e_i|)
+    ei = e[i]
+    lines = {}
+    for x, c in terms.items():
+        k = x[i] // ei
+        base = tuple(xj - k * ej for xj, ej in zip(x, e))
+        lines.setdefault(base, []).append((k, c))
+    quot = {}
+    for base, line in lines.items():
+        line.sort()
+        run = 0
+        prev = None
+        for k, c in line:
+            if run:
+                for j in range(prev + 1, k):
+                    quot[tuple(b + j * ej for b, ej in zip(base, e))] = run
+            run += c
+            if run:
+                quot[tuple(b + k * ej for b, ej in zip(base, e))] = run
+            prev = k
+        if run:
+            return None
+    return LaurentPolynomial(a.vars, quot)
+
+
+def mul_binomial_tuples(a: LaurentPolynomial, e):
+    return LaurentPolynomial(a.vars, add_terms_tuples({}, a.terms, e))
+
+
+def rf_normalize_tuples(f: FactoredRationalFunction):
+    return FactoredRationalFunction(*_cancel(poly_div_binomial_tuples,
+                                             f.num, f.den))
+
+
+def rf_sum_common_tuples(terms):
+    lcm = _lcm(t.den for t in terms)
+    num = _sum_common(dict, add_terms_tuples,
+                      [(t.num.terms, t.den) for t in terms], lcm)
+    return rf_normalize_tuples(FactoredRationalFunction(
+        LaurentPolynomial(terms[0].vars, num), lcm))
+
+
+def rf_equal_tuples(f: FactoredRationalFunction, g: FactoredRationalFunction):
+    return _equal(lambda num, den: _times(mul_binomial_tuples, num, den),
+                  f.num, f.den, g.num, g.den)

@@ -12,6 +12,7 @@ from nilzeta.arith import (
     LaurentPolynomial,
     LinearFactoredFunction,
     NotDivisible,
+    _mul_binomial,
     lff_equal,
     lff_sum,
     poly_div_binomial,
@@ -32,6 +33,12 @@ from reference_impls import (
     SingularSubstitution,
     lff_equal_full,
     lff_sum_per_group,
+    mul_binomial_tuples,
+    poly_div_binomial_tuples,
+    poly_mul_tuples,
+    rf_equal_tuples,
+    rf_normalize_tuples,
+    rf_sum_common_tuples,
     rf_substitute,
 )
 
@@ -544,3 +551,131 @@ def test_with_denominator_not_divisible():
     assert rf_with_denominator(f, {(0, 1): 2}) == lp({(0, 0): 1, (0, 1): -1})
     with pytest.raises(NotDivisible):
         rf_with_denominator(f, {(1, 1): 1})
+
+
+# -- the packed kernels against the tuple-keyed reference --------------------
+
+# offsets that put a polynomial's exponents at 2^31 and beyond
+BIG_OFFSETS = [0, 0, 2**31, -2**33, 2**40]
+
+
+@st.composite
+def packed_arena(draw):
+    """(vars, poly, factor): an arena of 1, 2 or 4 variables; a strategy
+    for Laurent polynomials there, all with their exponents near one offset
+    (so that no line of a factor is long); and a strategy for factor
+    exponents >= 0, whose first nonzero entry (anywhere, as in (0, 2) or
+    (0, 0, 3, 1)) is at most 3 and whose later entries may be 2^31 more.
+    No factor is then a multiple of another by more than 3, so no quotient
+    walks a line of 2^31 steps."""
+    n = draw(st.sampled_from([1, 2, 4]))
+    vars = _arena(n)
+    offset = draw(st.tuples(*[st.sampled_from(BIG_OFFSETS)] * n))
+
+    @st.composite
+    def poly(draw):
+        terms = draw(st.dictionaries(st.tuples(*[st.integers(-3, 3)] * n),
+                                     st.integers(-4, 4).filter(bool),
+                                     max_size=6))
+        return LaurentPolynomial(vars, {tuple(map(sum, zip(offset, e))): c
+                                        for e, c in terms.items()})
+
+    @st.composite
+    def factor(draw):
+        e = list(draw(st.tuples(*[st.integers(0, 3)] * n).filter(any)))
+        i = next(k for k, x in enumerate(e) if x)
+        for j in range(i + 1, n):
+            if e[j] and draw(st.booleans()):
+                e[j] += 2**31
+        return tuple(e)
+
+    return vars, poly(), factor()
+
+
+@st.composite
+def packed_rf_terms(draw):
+    """Two to five factored rational functions in one packed_arena, over a
+    few shared denominators of up to three factors, each of multiplicity
+    up to 2.  Factor entries are at most 3, but for at most one factor in
+    an arena of two or more variables: it leads with 64, and its last
+    entry is 2^31 or more.  The copies of the other factors move an
+    exponent by less than 64, so no line of a factor joins two exponents
+    2^31 apart, and no quotient walks such a line."""
+    vars, poly, _ = draw(packed_arena())
+    n = len(vars)
+    factors = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n).filter(any),
+                            min_size=1, max_size=4, unique=True))
+    if n > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, n - 2))
+        later = st.sampled_from([0, 1, 2**31, 2**31 + 3])
+        factors.append((0,) * i + (64,)
+                       + draw(st.tuples(*[later] * (n - i - 2)))
+                       + (2**31 + draw(st.integers(0, 3)),))
+    dens = draw(st.lists(st.dictionaries(st.sampled_from(factors),
+                                         st.integers(1, 2), max_size=3),
+                         min_size=1, max_size=3))
+    return [FactoredRationalFunction(draw(poly), draw(st.sampled_from(dens)))
+            for _ in range(draw(st.integers(2, 5)))]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_packed_poly_mul_matches_tuple_reference(data):
+    _, poly, factor = data.draw(packed_arena())
+    a, b = data.draw(poly), data.draw(poly)
+    assert poly_mul(a, b).terms == poly_mul_tuples(a, b).terms
+    e = data.draw(factor)
+    assert _mul_binomial(a, e).terms == mul_binomial_tuples(a, e).terms
+
+
+@given(st.data(), st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_packed_div_binomial_matches_tuple_reference(data, k):
+    """On multiples of (1 - Z^e)^k, with e a packed_arena factor or a
+    single entry of 2^31 and more, and on those plus a stray polynomial."""
+    vars, poly, factor = data.draw(packed_arena())
+    e = data.draw(st.one_of(factor, st.integers(0, len(vars) - 1).map(
+        lambda i: tuple(2**31 + 5 if j == i else 0
+                        for j in range(len(vars))))))
+    p = data.draw(poly)
+    for _ in range(k):
+        p = mul_binomial_tuples(p, e)
+    if data.draw(st.booleans()):
+        p = p + data.draw(poly)
+    q, ref = poly_div_binomial(p, e), poly_div_binomial_tuples(p, e)
+    assert (q is None) == (ref is None)
+    if q is not None:
+        assert q.terms == ref.terms
+
+
+@given(packed_rf_terms())
+@settings(max_examples=100, deadline=None)
+def test_packed_rf_kernels_match_tuple_reference(terms):
+    s, ref = rf_sum_common(terms), rf_sum_common_tuples(terms)
+    assert _same_form(s, ref)
+    for f in terms:
+        assert _same_form(rf_normalize(f), rf_normalize_tuples(f))
+    # a sum against its terms written over one another's denominators
+    for f, g in [(s, terms[0]), (terms[0], terms[1]), (s, ref)]:
+        assert rf_equal(f, g) == rf_equal_tuples(f, g)
+    assert rf_equal(s, ref)
+
+
+def test_div_binomial_keeps_lines_apart():
+    """1 - q is not divisible by 1 - t^2: q^0 and q^1 lie on different
+    lines of (0, 2), which a residue of the packed monomial would merge;
+    the answer comes at once."""
+    assert poly_div_binomial(lp({(0, 0): 1, (1, 0): -1}), (0, 2)) is None
+    # a base x - ke whose later entries lie far outside the exponents'
+    # own range, beside one that does not: (5, -4) and (0, 0) for e = (2, 6)
+    p = lp({(0, 0): 1, (2, 6): -1, (5, -4): 1, (7, 2): -1})
+    assert poly_div_binomial(p, (2, 6)) == lp({(0, 0): 1, (5, -4): 1})
+    assert poly_div_binomial(lp({(0, 0): 1, (5, -4): -1}), (2, 6)) is None
+
+
+def test_packing_keeps_a_zero_variable_constant():
+    """An arena of no variables packs into no slot: its one monomial, the
+    constant, still multiplies."""
+    a, b = LaurentPolynomial((), {(): 2}), LaurentPolynomial((), {(): 3})
+    assert poly_mul(a, b).terms == poly_mul_tuples(a, b).terms == {(): 6}
+    assert poly_mul(b, LaurentPolynomial.zero(())).is_zero()

@@ -486,10 +486,7 @@ def test_a_sweep_builds_one_context_per_pair(monkeypatch):
     (2, 1) and still build one each, and a second sweep over the same
     pairs builds them all again."""
     built = _count_contexts(monkeypatch)
-    # fresh pairs: a test that reads wp.context on enumerate_Wd's cached
-    # pairs outside a sweep leaves the context on them
-    for pairs in ([WPair(2, wp.I, wp.sigma) for wp in enumerate_Wd(2)],
-                  [WPair(3, wp.I, wp.sigma) for wp in enumerate_Wd(3)],
+    for pairs in (enumerate_Wd(2), enumerate_Wd(3),
                   [WPair(4, frozenset(I), sigma) for I, sigma in D4_PAIRS]):
         for _ in range(2):
             built.clear()
